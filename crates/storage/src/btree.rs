@@ -10,6 +10,14 @@
 //! history); the tree removes entries only when a caller explicitly asks
 //! ([`BTree::remove_if`]) and the chain is gone.
 //!
+//! ## Shape
+//!
+//! Internal nodes hold up to 64 children and are rebalanced at 32, so a
+//! 100 000-row table is about four pages deep and a descent touches few
+//! cache lines. Leaf capacity tracks the schema's `rows_per_page` instead
+//! (one-row leaves for the hot TPC-C district and warehouse tables), so
+//! leaf latches keep the lock manager's page granularity.
+//!
 //! ## Write path — latch crabbing
 //!
 //! Writers descend with hand-over-hand write latches: latch the child,
@@ -27,12 +35,19 @@
 //!
 //! Readers hold at most one latch at a time: read-latch a node, capture its
 //! version, pick the child, release, latch the child, then check that the
-//! parent's version did not change in between. A mismatch means the pointer
+//! parent's version did not change in between. Each hop resolves the child
+//! id through the pager's lock-free directory (a plain `&Page`, no
+//! reference count) and takes the child's *shared* read latch, which never
+//! waits unless a writer holds that very page. A mismatch means the pointer
 //! they followed may have been split, merged, or freed underneath them —
 //! the descent restarts from the root (counted in
 //! [`crate::pager::PagerCounters::read_restarts`]). Range scans hop the
 //! leaf `next` chain with the same validation. Readers never block writers
-//! and never deadlock with them (one latch at a time ⇒ no cycles).
+//! for longer than one node visit and never deadlock with them (one latch
+//! at a time ⇒ no cycles). The closure a read runs at the leaf executes
+//! under the leaf's read latch: version reads walk chains by reference
+//! there and consult the [`crate::version::CommitResolver`], whose lock is
+//! a leaf in the lock order (it never waits for a page latch).
 //!
 //! Validation is sound against in-progress structure changes because page
 //! versions use the OLC locked encoding (odd while write-latched — see
@@ -49,7 +64,6 @@ use crate::pager::{Page, PageId, Pager, PagerCounters, WriteLatch};
 use crate::row::{Key, Row};
 use crate::version::ChainEntry;
 use acc_common::Slot;
-use std::sync::Arc;
 
 /// The root lives at page 0 forever.
 const ROOT: PageId = 0;
@@ -91,7 +105,7 @@ pub(crate) struct BTree {
     leaf_cap: usize,
     /// Rebalance a leaf we descend into (for remove) at `<= min_leaf`.
     min_leaf: usize,
-    /// Max children per internal node.
+    /// Max children per internal node (64).
     max_children: usize,
     /// Rebalance an internal node we descend into at `<= min_children`.
     min_children: usize,
@@ -107,8 +121,8 @@ impl BTree {
             }),
             leaf_cap,
             min_leaf: leaf_cap / 2,
-            max_children: 8,
-            min_children: 4,
+            max_children: 64,
+            min_children: 32,
         }
     }
 
@@ -145,9 +159,9 @@ impl BTree {
     pub(crate) fn read_entry<R>(&self, key: &Key, f: impl Fn(Option<&LeafEntry>) -> R) -> R {
         'restart: loop {
             let mut cur = self.pager.page(ROOT);
-            let mut parent: Option<(Arc<Page<Node>>, u64)> = None;
+            let mut parent: Option<(&Page<Node>, u64)> = None;
             loop {
-                let g = self.pager.read_latch(&cur);
+                let g = self.pager.read_latch(cur);
                 if let Some((p, v)) = &parent {
                     if p.version() != *v {
                         drop(g);
@@ -187,10 +201,10 @@ impl BTree {
         'restart: loop {
             let mut out: Vec<T> = Vec::new();
             let mut cur = self.pager.page(ROOT);
-            let mut parent: Option<(Arc<Page<Node>>, u64)> = None;
+            let mut parent: Option<(&Page<Node>, u64)> = None;
             let mut first_leaf = true;
             loop {
-                let g = self.pager.read_latch(&cur);
+                let g = self.pager.read_latch(cur);
                 if let Some((p, v)) = &parent {
                     if p.version() != *v {
                         drop(g);
@@ -246,14 +260,12 @@ impl BTree {
         key: &Key,
         f: impl FnOnce(Option<&mut LeafEntry>) -> R,
     ) -> R {
-        let root = self.pager.page(ROOT);
-        let g = self.pager.write_latch(&root);
-        self.with_entry_rec(&root, g, key, f)
+        let g = self.pager.write_latch(self.pager.page(ROOT));
+        self.with_entry_rec(g, key, f)
     }
 
     fn with_entry_rec<'a, R>(
-        &self,
-        _page: &'a Arc<Page<Node>>,
+        &'a self,
         mut g: WriteLatch<'a, Node>,
         key: &Key,
         f: impl FnOnce(Option<&mut LeafEntry>) -> R,
@@ -269,10 +281,9 @@ impl BTree {
             }
             Node::Internal { keys, children } => children[Self::route(keys, key)],
         };
-        let child = self.pager.page(cid);
-        let cg = self.pager.write_latch(&child);
+        let cg = self.pager.write_latch(self.pager.page(cid));
         drop(g);
-        self.with_entry_rec(&child, cg, key, f)
+        self.with_entry_rec(cg, key, f)
     }
 
     /// Insert-or-mutate: descend with preemptive splits so the target leaf
@@ -284,17 +295,15 @@ impl BTree {
         key: &Key,
         f: impl FnOnce(&mut Vec<LeafEntry>, usize, bool) -> R,
     ) -> R {
-        let root = self.pager.page(ROOT);
-        let mut g = self.pager.write_latch(&root);
+        let mut g = self.pager.write_latch(self.pager.page(ROOT));
         if self.is_full(&g) {
             self.split_root(&mut g);
         }
-        self.upsert_rec(&root, g, key, f)
+        self.upsert_rec(g, key, f)
     }
 
     fn upsert_rec<'a, R>(
-        &self,
-        _page: &'a Arc<Page<Node>>,
+        &'a self,
         mut g: WriteLatch<'a, Node>,
         key: &Key,
         f: impl FnOnce(&mut Vec<LeafEntry>, usize, bool) -> R,
@@ -310,8 +319,7 @@ impl BTree {
                 (children[i], i)
             }
         };
-        let child = self.pager.page(cid);
-        let mut cg = self.pager.write_latch(&child);
+        let mut cg = self.pager.write_latch(self.pager.page(cid));
         if self.is_full(&cg) {
             let (sep, right_id) = self.split_child(&mut g, child_idx, &mut cg);
             if *key >= sep {
@@ -323,14 +331,13 @@ impl BTree {
                 // until g drops, so readers routed to the truncated child
                 // fail validation.
                 drop(cg);
-                let right = self.pager.page(right_id);
-                let rg = self.pager.write_latch(&right);
+                let rg = self.pager.write_latch(self.pager.page(right_id));
                 drop(g);
-                return self.upsert_rec(&right, rg, key, f);
+                return self.upsert_rec(rg, key, f);
             }
         }
         drop(g);
-        self.upsert_rec(&child, cg, key, f)
+        self.upsert_rec(cg, key, f)
     }
 
     /// Remove-or-mutate: descend with preemptive rebalancing (borrow or
@@ -343,16 +350,14 @@ impl BTree {
         f: impl FnOnce(Option<&mut LeafEntry>) -> (R, bool),
     ) -> R {
         loop {
-            let root = self.pager.page(ROOT);
-            let mut g = self.pager.write_latch(&root);
+            let mut g = self.pager.write_latch(self.pager.page(ROOT));
             // Collapse a trivial root (internal, one child) before
             // descending: copy the child up into page 0 so the root's page
             // id never changes.
             if let Node::Internal { children, .. } = &*g {
                 if children.len() == 1 {
                     let cid = children[0];
-                    let child = self.pager.page(cid);
-                    let mut cg = self.pager.write_latch(&child);
+                    let mut cg = self.pager.write_latch(self.pager.page(cid));
                     *g = std::mem::replace(
                         &mut *cg,
                         Node::Leaf {
@@ -366,13 +371,12 @@ impl BTree {
                     continue;
                 }
             }
-            return self.remove_rec(&root, g, key, f);
+            return self.remove_rec(g, key, f);
         }
     }
 
     fn remove_rec<'a, R>(
-        &self,
-        _page: &'a Arc<Page<Node>>,
+        &'a self,
         mut g: WriteLatch<'a, Node>,
         key: &Key,
         f: impl FnOnce(Option<&mut LeafEntry>) -> (R, bool),
@@ -396,8 +400,7 @@ impl BTree {
                 (children[i], i, children.len())
             }
         };
-        let child = self.pager.page(cid);
-        let mut cg = self.pager.write_latch(&child);
+        let mut cg = self.pager.write_latch(self.pager.page(cid));
         if self.at_min(&cg) {
             if ci + 1 < n_children {
                 // Prefer the right sibling: borrow its first, else merge it
@@ -408,8 +411,7 @@ impl BTree {
                     Node::Internal { children, .. } => children[ci + 1],
                     _ => unreachable!("parent is internal"),
                 };
-                let sib = self.pager.page(sid);
-                let mut sg = self.pager.write_latch(&sib);
+                let mut sg = self.pager.write_latch(self.pager.page(sid));
                 if !self.at_min(&sg) {
                     Self::borrow_from_right(&mut g, ci, &mut cg, &mut sg);
                 } else {
@@ -424,8 +426,7 @@ impl BTree {
                     Node::Internal { children, .. } => children[ci - 1],
                     _ => unreachable!("parent is internal"),
                 };
-                let sib = self.pager.page(sid);
-                let mut sg = self.pager.write_latch(&sib);
+                let mut sg = self.pager.write_latch(self.pager.page(sid));
                 if !self.at_min(&sg) {
                     Self::borrow_from_left(&mut g, ci, &mut sg, &mut cg);
                 } else {
@@ -436,12 +437,12 @@ impl BTree {
                     drop(g);
                     // Descend into the left sibling, which now covers the
                     // merged range.
-                    return self.remove_rec(&sib, sg, key, f);
+                    return self.remove_rec(sg, key, f);
                 }
             }
         }
         drop(g);
-        self.remove_rec(&child, cg, key, f)
+        self.remove_rec(cg, key, f)
     }
 
     // ------------------------------------------------------------------
@@ -451,7 +452,7 @@ impl BTree {
     /// Split page 0 in place: its halves move to two fresh pages and the
     /// root becomes an internal node over them.
     fn split_root(&self, g: &mut WriteLatch<'_, Node>) {
-        self.pager.count_split();
+        self.pager.count_split(matches!(**g, Node::Internal { .. }));
         match &mut **g {
             Node::Leaf { entries, next } => {
                 let mid = entries.len() / 2;
@@ -501,7 +502,8 @@ impl BTree {
         child_idx: usize,
         cg: &mut WriteLatch<'_, Node>,
     ) -> (Key, PageId) {
-        self.pager.count_split();
+        self.pager
+            .count_split(matches!(**cg, Node::Internal { .. }));
         let (sep, right_id) = match &mut **cg {
             Node::Leaf { entries, next } => {
                 let mid = entries.len() / 2;
@@ -672,7 +674,7 @@ impl BTree {
         let mut d = 1;
         let mut cur = self.pager.page(ROOT);
         loop {
-            let g = self.pager.read_latch(&cur);
+            let g = self.pager.read_latch(cur);
             match &*g {
                 Node::Leaf { .. } => return d,
                 Node::Internal { children, .. } => {
@@ -725,48 +727,55 @@ mod tests {
         )
     }
 
+    /// Keys that take a tiny-leaf tree (leaf capacity 2) to depth 3 at
+    /// fanout 64: the root's children overflow into internal-node splits.
+    const DEEP: i64 = 300;
+
     #[test]
     fn splits_keep_order_and_point_reads() {
         let t = BTree::new(2); // tiny leaves: split constantly
         let mut expect: Vec<i64> = Vec::new();
-        for k in [5, 1, 9, 3, 7, 2, 8, 4, 6, 0, 15, 12, 11, 14, 13, 10] {
+        // 7 is coprime to DEEP: a scrambled permutation of 0..DEEP.
+        for k in (0..DEEP).map(|i| (i * 7) % DEEP) {
             insert(&t, k);
             expect.push(k);
             expect.sort_unstable();
             assert_eq!(keys_in_order(&t), expect, "after inserting {k}");
         }
-        assert!(t.depth() > 2, "tiny leaves must have split more than once");
-        for k in 0..16 {
+        assert!(t.depth() >= 3, "tiny leaves must have split more than once");
+        for k in 0..DEEP {
             let found = t.read_entry(&Key::ints(&[k]), |e| e.map(|e| e.slot));
             assert_eq!(found, Some(k as Slot));
         }
         assert!(
-            !t.read_entry(&Key::ints(&[99]), |e| e.is_some()),
+            !t.read_entry(&Key::ints(&[DEEP + 99]), |e| e.is_some()),
             "absent key"
         );
-        assert!(t.counters().splits > 2);
+        let c = t.counters();
+        assert!(c.splits > 2);
+        assert!(c.internal_splits > 0, "internal nodes must have split");
         latch_debug_assert_none_held("btree unit test");
     }
 
     #[test]
     fn merges_shrink_the_tree_back() {
         let t = BTree::new(2);
-        for k in 0..64 {
+        for k in 0..DEEP {
             insert(&t, k);
         }
         let deep = t.depth();
         assert!(deep >= 3);
-        for k in 0..63 {
+        assert!(t.counters().internal_splits > 0);
+        for k in 0..DEEP - 1 {
             assert!(remove(&t, k), "key {k} was present");
-            let mut expect: Vec<i64> = (k + 1..64).collect();
-            expect.sort_unstable();
+            let expect: Vec<i64> = (k + 1..DEEP).collect();
             assert_eq!(keys_in_order(&t), expect, "after removing {k}");
         }
-        assert_eq!(keys_in_order(&t), vec![63]);
+        assert_eq!(keys_in_order(&t), vec![DEEP - 1]);
         assert!(t.counters().merges > 0, "shrinking must have merged");
         // Root collapse happens lazily on the next remove-descent.
-        assert!(remove(&t, 63));
-        assert!(!remove(&t, 63), "second remove finds nothing");
+        assert!(remove(&t, DEEP - 1));
+        assert!(!remove(&t, DEEP - 1), "second remove finds nothing");
         assert_eq!(t.depth(), 1, "tree collapsed back to a root leaf");
         assert!(
             t.counters().page_frees > 0,
@@ -821,6 +830,7 @@ mod tests {
         for &k in &anchors {
             insert(&t, k);
         }
+        let setup = t.counters();
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
             let churners: Vec<_> = (0..2)
@@ -864,7 +874,12 @@ mod tests {
             stop.store(true, Ordering::Relaxed);
         });
         assert_eq!(keys_in_order(&t), anchors, "only the anchors remain");
-        assert!(t.counters().splits > 0 && t.counters().merges > 0);
+        let churn = t.counters() - setup;
+        assert!(churn.splits > 0 && churn.merges > 0);
+        assert!(
+            churn.internal_splits > 0,
+            "churn must split internal nodes, not only leaves"
+        );
     }
 
     #[test]
@@ -878,10 +893,12 @@ mod tests {
                 before: None,
             });
         });
-        // Force the entry to relocate through many splits.
-        for k in 2..40 {
+        // Force the entry to relocate through many splits, internal
+        // nodes included.
+        for k in 2..DEEP {
             insert(&t, k);
         }
+        assert!(t.counters().internal_splits > 0);
         let chain = t.read_entry(&Key::ints(&[1]), |e| e.map(|e| e.chain.clone()));
         assert_eq!(
             chain.expect("entry survived").len(),
@@ -889,9 +906,10 @@ mod tests {
             "chain rode along through splits"
         );
         // And back through merges.
-        for k in 2..40 {
+        for k in 2..DEEP {
             remove(&t, k);
         }
+        assert!(t.counters().merges > 0);
         let chain = t.read_entry(&Key::ints(&[1]), |e| e.map(|e| e.chain.clone()));
         assert_eq!(chain.expect("entry survived").len(), 1);
         let _ = TxnId(0);

@@ -16,6 +16,14 @@
 //! through the pre-change parent must fail its parent validation *during*
 //! that window, not only after the parent's latch is released.
 //!
+//! The directory itself is append-only and lock-free to read: page ids
+//! index geometric buckets (32, 64, 128, … frames) of `OnceLock` slots,
+//! each bucket allocated once and never moved or freed. [`Pager::page`]
+//! therefore hands out a plain `&Page` — two acquire loads and no shared
+//! write — and a frame's address is stable for the pager's life. Freed
+//! frames go to a LIFO free list and are reused in place; a stale reader
+//! holding the old tenant's address sees the version bump and restarts.
+//!
 //! Page latches are *physical* and short: they are held only across a single
 //! node visit (plus the parent during crabbing) and never across a logical
 //! lock wait, a WAL append, or a step boundary. Logical ACC locks order
@@ -23,14 +31,17 @@
 //! See DESIGN.md §10 for the full no-deadlock argument.
 //!
 //! In debug builds every latch acquisition is tracked in a thread-local
-//! registry that asserts the crabbing discipline: no re-latching a page the
-//! thread already holds (self-deadlock), never more than three latches at
-//! once (parent + child + sibling is the crabbing maximum), and — via
-//! [`latch_debug_assert_none_held`], called at step boundaries by the
-//! transaction layer and by the stress gate — no latch leaks across a step.
+//! registry (keyed by frame address) that asserts the crabbing discipline:
+//! no re-latching a page the thread already holds (self-deadlock), never
+//! more than three latches at once (parent + child + sibling is the
+//! crabbing maximum), and — via [`latch_debug_assert_none_held`], called at
+//! step boundaries by the transaction layer and by the stress gate — no
+//! latch leaks across a step.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::{
+    Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
+};
 
 /// Index into the pager's page directory. Stable for the life of the page;
 /// reuse after [`Pager::free_page`] is detected by readers via the version
@@ -118,6 +129,7 @@ pub(crate) struct PagerStats {
     latch_waits: AtomicU64,
     restarts: AtomicU64,
     splits: AtomicU64,
+    internal_splits: AtomicU64,
     merges: AtomicU64,
     allocs: AtomicU64,
     frees: AtomicU64,
@@ -139,13 +151,15 @@ pub struct PagerCounters {
     pub read_restarts: u64,
     /// Leaf/internal node splits.
     pub splits: u64,
+    /// The internal-node share of `splits`.
+    pub internal_splits: u64,
     /// Leaf/internal node merges (borrows are not counted).
     pub merges: u64,
     /// Pages allocated (fresh or reused from the free list).
     pub page_allocs: u64,
     /// Pages returned to the free list.
     pub page_frees: u64,
-    /// Pages currently in the directory (allocated + free-listed).
+    /// Frames handed out so far (allocated + free-listed).
     pub pages: u64,
 }
 
@@ -158,6 +172,7 @@ impl std::ops::Add for PagerCounters {
             latch_waits: self.latch_waits + o.latch_waits,
             read_restarts: self.read_restarts + o.read_restarts,
             splits: self.splits + o.splits,
+            internal_splits: self.internal_splits + o.internal_splits,
             merges: self.merges + o.merges,
             page_allocs: self.page_allocs + o.page_allocs,
             page_frees: self.page_frees + o.page_frees,
@@ -178,6 +193,7 @@ impl std::ops::Sub for PagerCounters {
             latch_waits: self.latch_waits.saturating_sub(o.latch_waits),
             read_restarts: self.read_restarts.saturating_sub(o.read_restarts),
             splits: self.splits.saturating_sub(o.splits),
+            internal_splits: self.internal_splits.saturating_sub(o.internal_splits),
             merges: self.merges.saturating_sub(o.merges),
             page_allocs: self.page_allocs.saturating_sub(o.page_allocs),
             page_frees: self.page_frees.saturating_sub(o.page_frees),
@@ -186,48 +202,92 @@ impl std::ops::Sub for PagerCounters {
     }
 }
 
-/// The page directory: `Arc`ed page frames plus a LIFO free list. Growing
-/// the directory takes the directory write lock; every other access is a
-/// shared read of the `Arc` slot.
+/// Frames in directory bucket 0; bucket `b` holds `FIRST_BUCKET << b`.
+const FIRST_BUCKET: usize = 32;
+/// Enough buckets to address every `PageId`: bucket `b` starts at id
+/// `FIRST_BUCKET * (2^b - 1)`, so buckets `0..28` end past `u32::MAX`.
+const N_BUCKETS: usize = 28;
+
+/// One directory bucket: a fixed run of frame slots, each set once.
+type Bucket<N> = Box<[OnceLock<Page<N>>]>;
+
+/// `(bucket, offset)` of page `id` in the geometric directory.
+fn bucket_of(id: PageId) -> (usize, usize) {
+    let x = id as usize / FIRST_BUCKET + 1;
+    let b = x.ilog2() as usize;
+    (b, id as usize - FIRST_BUCKET * ((1 << b) - 1))
+}
+
+/// The page directory: an append-only segmented array of page frames plus a
+/// LIFO free list. Frames are never freed or moved, so readers resolve an id
+/// to `&Page` without locking; growth claims the next id atomically and
+/// initializes its slot (and, once per bucket, the bucket itself).
 pub(crate) struct Pager<N> {
-    pages: RwLock<Vec<Arc<Page<N>>>>,
+    buckets: [OnceLock<Bucket<N>>; N_BUCKETS],
+    /// Frames handed out so far (the next fresh id).
+    next: AtomicU32,
     free: Mutex<Vec<PageId>>,
     stats: PagerStats,
-}
-
-fn lock_read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn lock_write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl<N> Pager<N> {
     /// A pager whose page 0 (the tree root — its id never changes) holds
     /// `root`.
     pub(crate) fn new(root: N) -> Pager<N> {
-        Pager {
-            pages: RwLock::new(vec![Arc::new(Page {
-                version: AtomicU64::new(0),
-                node: RwLock::new(root),
-            })]),
+        let p = Pager {
+            buckets: std::array::from_fn(|_| OnceLock::new()),
+            next: AtomicU32::new(0),
             free: Mutex::new(Vec::new()),
             stats: PagerStats::default(),
-        }
+        };
+        let root_id = p.grow(root);
+        debug_assert_eq!(root_id, 0, "the root is the first frame");
+        p
     }
 
-    /// The `Arc` handle for a page. Callers keep the handle alive across the
-    /// latch they take on it.
-    pub(crate) fn page(&self, id: PageId) -> Arc<Page<N>> {
-        Arc::clone(&lock_read(&self.pages)[id as usize])
+    /// The slot for `id`, allocating its bucket on first touch.
+    fn slot(&self, id: PageId) -> &OnceLock<Page<N>> {
+        let (b, off) = bucket_of(id);
+        let bucket = self.buckets[b]
+            .get_or_init(|| (0..FIRST_BUCKET << b).map(|_| OnceLock::new()).collect());
+        &bucket[off]
+    }
+
+    /// Append a fresh frame holding `node`.
+    fn grow(&self, node: N) -> PageId {
+        // Relaxed suffices: the counter only makes ids unique (any RMW
+        // does) and counts frames. The frame itself is published by the
+        // slot's `OnceLock::set` (release), which `page` reads with an
+        // acquire load, and a reader only learns the id after the caller
+        // links it into the tree under a latch.
+        let id = self.next.fetch_add(1, Relaxed);
+        let fresh = Page {
+            version: AtomicU64::new(0),
+            node: RwLock::new(node),
+        };
+        if self.slot(id).set(fresh).is_err() {
+            unreachable!("page id {id} claimed twice");
+        }
+        id
+    }
+
+    /// The frame for a page. Any id the tree can hold was returned by
+    /// [`Pager::alloc`] (whose slot write happens-before the id is linked
+    /// under a latch), and frames are never freed, so the reference is
+    /// valid for the pager's life.
+    pub(crate) fn page(&self, id: PageId) -> &Page<N> {
+        let (b, off) = bucket_of(id);
+        self.buckets[b]
+            .get()
+            .and_then(|bucket| bucket[off].get())
+            .expect("page id was handed out by alloc")
     }
 
     /// Acquire the read latch on `page`, counting a latch wait if it blocks.
-    pub(crate) fn read_latch<'a>(&self, page: &'a Arc<Page<N>>) -> ReadLatch<'a, N> {
+    pub(crate) fn read_latch<'a>(&self, page: &'a Page<N>) -> ReadLatch<'a, N> {
         self.stats.reads.fetch_add(1, Relaxed);
         #[cfg(debug_assertions)]
-        let _held = debug::acquire(Arc::as_ptr(page) as usize, false);
+        let _held = debug::acquire(page as *const Page<N> as usize, false);
         let guard = match page.node.try_read() {
             Ok(g) => g,
             Err(TryLockError::Poisoned(p)) => p.into_inner(),
@@ -247,10 +307,10 @@ impl<N> Pager<N> {
     /// blocks. The returned latch bumps the page version to odd now (after
     /// the lock is held, so no concurrent reader can capture the odd value
     /// under its read latch) and back to even when dropped.
-    pub(crate) fn write_latch<'a>(&self, page: &'a Arc<Page<N>>) -> WriteLatch<'a, N> {
+    pub(crate) fn write_latch<'a>(&self, page: &'a Page<N>) -> WriteLatch<'a, N> {
         self.stats.writes.fetch_add(1, Relaxed);
         #[cfg(debug_assertions)]
-        let _held = debug::acquire(Arc::as_ptr(page) as usize, true);
+        let _held = debug::acquire(page as *const Page<N> as usize, true);
         let guard = match page.node.try_write() {
             Ok(g) => g,
             Err(TryLockError::Poisoned(p)) => p.into_inner(),
@@ -290,13 +350,7 @@ impl<N> Pager<N> {
             drop(guard);
             return id;
         }
-        let mut pages = lock_write(&self.pages);
-        let id = pages.len() as PageId;
-        pages.push(Arc::new(Page {
-            version: AtomicU64::new(0),
-            node: RwLock::new(node),
-        }));
-        id
+        self.grow(node)
     }
 
     /// Return a page to the free list. The caller must have unlinked it from
@@ -317,9 +371,13 @@ impl<N> Pager<N> {
         self.stats.restarts.fetch_add(1, Relaxed);
     }
 
-    /// Count a split (bumped by the tree layer).
-    pub(crate) fn count_split(&self) {
+    /// Count a split of a leaf or, if `internal`, an internal node (bumped
+    /// by the tree layer).
+    pub(crate) fn count_split(&self, internal: bool) {
         self.stats.splits.fetch_add(1, Relaxed);
+        if internal {
+            self.stats.internal_splits.fetch_add(1, Relaxed);
+        }
     }
 
     /// Count a merge (bumped by the tree layer).
@@ -335,10 +393,11 @@ impl<N> Pager<N> {
             latch_waits: self.stats.latch_waits.load(Relaxed),
             read_restarts: self.stats.restarts.load(Relaxed),
             splits: self.stats.splits.load(Relaxed),
+            internal_splits: self.stats.internal_splits.load(Relaxed),
             merges: self.stats.merges.load(Relaxed),
             page_allocs: self.stats.allocs.load(Relaxed),
             page_frees: self.stats.frees.load(Relaxed),
-            pages: lock_read(&self.pages).len() as u64,
+            pages: u64::from(self.next.load(Relaxed)),
         }
     }
 
@@ -453,7 +512,7 @@ mod tests {
         let v0 = page.version();
         assert_eq!(v0 % 2, 0, "a page at rest is even");
         {
-            let mut w = p.write_latch(&page);
+            let mut w = p.write_latch(page);
             *w = 8;
             assert_eq!(
                 page.version(),
@@ -463,7 +522,7 @@ mod tests {
             );
         }
         assert_eq!(page.version(), v0 + 2, "back to even at release");
-        assert_eq!(*p.read_latch(&page), 8);
+        assert_eq!(*p.read_latch(page), 8);
         p.free_page(0);
         assert_eq!(page.version(), v0 + 3, "free leaves the page odd");
     }
@@ -478,7 +537,7 @@ mod tests {
         assert_eq!(page.version() % 2, 1, "freed page reads as in-progress");
         assert_eq!(p.alloc(2), a, "LIFO reuse of the freed frame");
         assert_eq!(page.version(), v0 + 2, "reuse restores an even version");
-        assert_eq!(*p.read_latch(&page), 2);
+        assert_eq!(*p.read_latch(page), 2);
     }
 
     #[test]
@@ -486,7 +545,7 @@ mod tests {
         let p: Pager<i32> = Pager::new(0);
         let page = p.page(0);
         {
-            let _r = p.read_latch(&page);
+            let _r = p.read_latch(page);
         }
         latch_debug_assert_none_held("pager unit test");
     }
@@ -497,19 +556,18 @@ mod tests {
     fn latch_checker_catches_self_relatch() {
         let p: Pager<i32> = Pager::new(0);
         let page = p.page(0);
-        let _a = p.read_latch(&page);
-        let _b = p.read_latch(&page); // would self-deadlock on a write latch
+        let _a = p.read_latch(page);
+        let _b = p.read_latch(page); // would self-deadlock on a write latch
     }
 
     #[test]
     fn latch_wait_is_counted() {
         let p: std::sync::Arc<Pager<i32>> = std::sync::Arc::new(Pager::new(0));
         let page = p.page(0);
-        let w = p.write_latch(&page);
+        let w = p.write_latch(page);
         let p2 = std::sync::Arc::clone(&p);
         let t = std::thread::spawn(move || {
-            let page = p2.page(0);
-            let _r = p2.read_latch(&page); // blocks until the writer drops
+            let _r = p2.read_latch(p2.page(0)); // blocks until the writer drops
         });
         while p.counters().latch_waits == 0 {
             std::thread::yield_now();
@@ -517,5 +575,100 @@ mod tests {
         drop(w);
         t.join().unwrap();
         assert!(p.counters().latch_waits >= 1);
+    }
+
+    #[test]
+    fn bucket_layout_is_geometric() {
+        assert_eq!(bucket_of(0), (0, 0));
+        assert_eq!(bucket_of(31), (0, 31));
+        assert_eq!(bucket_of(32), (1, 0));
+        assert_eq!(bucket_of(95), (1, 63));
+        assert_eq!(bucket_of(96), (2, 0));
+        assert_eq!(bucket_of(223), (2, 127));
+        assert_eq!(bucket_of(224), (3, 0));
+        assert_eq!(bucket_of(PageId::MAX).0, N_BUCKETS - 1);
+    }
+
+    /// Two allocators grow the directory across the bucket edges at ids
+    /// 31/32, 95/96, 223/224 and 479/480 while two readers keep resolving
+    /// and latching every id already handed out.
+    #[test]
+    fn concurrent_alloc_across_buckets_resolves_every_live_id() {
+        use std::sync::atomic::AtomicBool;
+        const PER_THREAD: u64 = 300;
+        let p: Pager<u64> = Pager::new(0);
+        let live: Mutex<Vec<(PageId, u64)>> = Mutex::new(vec![(0, 0)]);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let allocators: Vec<_> = (0..2)
+                .map(|w| {
+                    let (p, live) = (&p, &live);
+                    s.spawn(move || {
+                        for i in 0..PER_THREAD {
+                            let tag = 1 + w * PER_THREAD + i;
+                            let id = p.alloc(tag);
+                            live.lock().unwrap().push((id, tag));
+                        }
+                    })
+                })
+                .collect();
+            for _ in 0..2 {
+                let (p, live, done) = (&p, &live, &done);
+                s.spawn(move || loop {
+                    let last_round = done.load(Relaxed);
+                    let snapshot = live.lock().unwrap().clone();
+                    for (id, tag) in snapshot {
+                        assert_eq!(*p.read_latch(p.page(id)), tag, "page {id}");
+                    }
+                    if last_round {
+                        break;
+                    }
+                });
+            }
+            for a in allocators {
+                a.join().expect("allocator panicked");
+            }
+            done.store(true, Relaxed);
+        });
+        let mut ids: Vec<PageId> = live
+            .into_inner()
+            .unwrap()
+            .iter()
+            .map(|&(id, _)| id)
+            .collect();
+        ids.sort_unstable();
+        let n = 2 * PER_THREAD as PageId;
+        assert_eq!(ids, (0..=n).collect::<Vec<_>>(), "dense ids, none twice");
+        let c = p.counters();
+        assert_eq!(c.page_allocs, u64::from(n));
+        assert_eq!(c.pages, u64::from(n) + 1, "pages = frames handed out");
+    }
+
+    #[test]
+    fn reuse_across_buckets_keeps_version_protocol() {
+        let p: Pager<u64> = Pager::new(0);
+        for i in 1..=100 {
+            assert_eq!(p.alloc(i), i as PageId);
+        }
+        let edges: [PageId; 4] = [31, 32, 95, 96];
+        let frames: Vec<*const Page<u64>> =
+            edges.iter().map(|&id| p.page(id) as *const _).collect();
+        for &id in &edges {
+            let v0 = p.page(id).version();
+            assert_eq!(v0 % 2, 0);
+            p.free_page(id);
+            assert_eq!(p.page(id).version(), v0 + 1, "freed page {id} is odd");
+        }
+        // LIFO reuse, in place: same frame, back to even, new tenant.
+        for (&id, &frame) in edges.iter().zip(&frames).rev() {
+            assert_eq!(p.alloc(1000 + u64::from(id)), id);
+            let page = p.page(id);
+            assert!(std::ptr::eq(page, frame), "frame {id} never moves");
+            assert_eq!(page.version() % 2, 0, "reused page {id} is even");
+            assert_eq!(*p.read_latch(page), 1000 + u64::from(id));
+        }
+        let c = p.counters();
+        assert_eq!((c.page_allocs, c.page_frees), (104, 4));
+        assert_eq!(c.pages, 101, "reuse hands out no new frame");
     }
 }

@@ -22,7 +22,7 @@ use crate::predicate::Predicate;
 use crate::row::{Key, Row};
 use crate::schema::TableSchema;
 use crate::undo::UndoRecord;
-use crate::version::{prune_chain, reconstruct, ChainEntry, CommitResolver, Visibility};
+use crate::version::{prune_chain, reconstruct_ref, ChainEntry, CommitResolver, Visibility};
 use acc_common::{Error, PageNo, ResourceId, Result, Slot, TxnId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -813,22 +813,54 @@ impl Table {
             .count()
     }
 
-    /// True if any image in `chain` (or `current`) carries a primary key
-    /// other than `key` — a key-changing update went through this slot, so
-    /// the chain no longer describes one row's history and version reads
-    /// must fall back.
-    fn chain_key_mismatch(&self, key: &Key, current: Option<&Row>, chain: &[ChainEntry]) -> bool {
-        current
-            .into_iter()
-            .chain(chain.iter().filter_map(|e| e.before()))
-            .any(|r| self.schema.key_of(r) != *key)
+    /// The entry for `key` as stored — its current image (`None` for a
+    /// tombstone) and its version chain — cloned. Diagnostics and tests:
+    /// version reads never copy a chain.
+    pub fn version_entry(&self, key: &Key) -> Option<(Option<Row>, Vec<ChainEntry>)> {
+        self.tree
+            .read_entry(key, |e| e.map(|e| (e.row.clone(), e.chain.clone())))
+    }
+
+    /// True if `row`'s primary-key columns equal `key`, compared in place.
+    fn has_key(&self, row: &Row, key: &Key) -> bool {
+        self.schema.key.len() == key.0.len()
+            && self
+                .schema
+                .key
+                .iter()
+                .zip(&key.0)
+                .all(|(&c, v)| row.get(c) == v)
+    }
+
+    /// The image of `e` visible at `view`, borrowed from the leaf. Taints if
+    /// any image on the entry (current or before) carries a primary key
+    /// other than the entry's own — a key-changing update went through this
+    /// slot, so the chain no longer describes one row's history and version
+    /// reads must fall back.
+    fn visible_ref<'e>(
+        &self,
+        e: &'e LeafEntry,
+        view: u64,
+        reader: TxnId,
+        commits: &dyn CommitResolver,
+    ) -> Visibility<&'e Row> {
+        let mismatch = e
+            .row
+            .iter()
+            .chain(e.chain.iter().filter_map(|c| c.before()))
+            .any(|r| !self.has_key(r, &e.key));
+        if mismatch {
+            return Visibility::Tainted;
+        }
+        reconstruct_ref(e.row.as_ref(), &e.chain, view, reader, commits)
     }
 
     /// The row image with primary key `key` as visible at `view`
-    /// (coordination-free point read: one optimistic descent, entry state
-    /// cloned under the leaf's read latch). `commits` resolves Pending
-    /// entries of transactions whose commit record is already appended (see
-    /// [`CommitResolver`]).
+    /// (coordination-free point read: one optimistic descent, the chain
+    /// walked by reference under the leaf's read latch and only the
+    /// returned image cloned). `commits` resolves Pending entries of
+    /// transactions whose commit record is already appended (see
+    /// [`CommitResolver`]; it is consulted under the latch).
     pub fn read_at(
         &self,
         key: &Key,
@@ -836,18 +868,10 @@ impl Table {
         reader: TxnId,
         commits: &dyn CommitResolver,
     ) -> Visibility {
-        let found = self
-            .tree
-            .read_entry(key, |e| e.map(|e| (e.row.clone(), e.chain.clone())));
-        match found {
+        self.tree.read_entry(key, |e| match e {
             None => Visibility::Visible(None),
-            Some((current, chain)) => {
-                if self.chain_key_mismatch(key, current.as_ref(), &chain) {
-                    return Visibility::Tainted;
-                }
-                reconstruct(current.as_ref(), &chain, view, reader, commits)
-            }
-        }
+            Some(e) => self.visible_ref(e, view, reader, commits).cloned(),
+        })
     }
 
     /// All row images whose primary key begins with `prefix`, as visible at
@@ -861,17 +885,7 @@ impl Table {
         reader: TxnId,
         commits: &dyn CommitResolver,
     ) -> Option<Vec<Row>> {
-        self.reconstruct_collected(
-            self.tree.scan_collect(
-                prefix,
-                |k| k.starts_with(prefix),
-                |e| Some((e.key.clone(), e.row.clone(), e.chain.clone())),
-                usize::MAX,
-            ),
-            view,
-            reader,
-            commits,
-        )
+        self.scan_at(prefix, |k| k.starts_with(prefix), view, reader, commits)
     }
 
     /// All row images with primary key in `[lo, hi)`, as visible at `view`,
@@ -884,38 +898,32 @@ impl Table {
         reader: TxnId,
         commits: &dyn CommitResolver,
     ) -> Option<Vec<Row>> {
-        self.reconstruct_collected(
-            self.tree.scan_collect(
-                lo,
-                |k| k < hi,
-                |e| Some((e.key.clone(), e.row.clone(), e.chain.clone())),
-                usize::MAX,
-            ),
-            view,
-            reader,
-            commits,
-        )
+        self.scan_at(lo, |k| k < hi, view, reader, commits)
     }
 
-    fn reconstruct_collected(
+    /// Version range scan from `lo` while `take` holds: each entry's chain
+    /// is walked by reference under its leaf's read latch and only visible
+    /// images are cloned. A tainted entry yields `None` for the whole scan.
+    fn scan_at(
         &self,
-        entries: Vec<(Key, Option<Row>, Vec<ChainEntry>)>,
+        lo: &Key,
+        take: impl Fn(&Key) -> bool,
         view: u64,
         reader: TxnId,
         commits: &dyn CommitResolver,
     ) -> Option<Vec<Row>> {
-        let mut out = Vec::new();
-        for (k, current, chain) in &entries {
-            if self.chain_key_mismatch(k, current.as_ref(), chain) {
-                return None;
-            }
-            match reconstruct(current.as_ref(), chain, view, reader, commits) {
-                Visibility::Tainted => return None,
-                Visibility::Visible(Some(r)) => out.push(r),
-                Visibility::Visible(None) => {}
-            }
-        }
-        Some(out)
+        self.tree
+            .scan_collect(
+                lo,
+                take,
+                |e| match self.visible_ref(e, view, reader, commits) {
+                    Visibility::Visible(r) => r.map(|r| Some(r.clone())),
+                    Visibility::Tainted => Some(None),
+                },
+                usize::MAX,
+            )
+            .into_iter()
+            .collect()
     }
 
     /// All row images whose secondary index `idx` key begins with `prefix`,
@@ -926,8 +934,12 @@ impl Table {
     /// only while no live chain changes a row's secondary projection — we
     /// verify that over the (small, pruned) chained-key set and fall back
     /// if any projection moved. The exclusive side of the writer gate
-    /// freezes mutators and prune for the duration, so the precheck, the
-    /// index range, and the chain walks see one consistent state.
+    /// freezes mutators and prune for the duration, and the chained-set
+    /// mutex is held throughout (lock order gate → `chained` → leaf
+    /// latches, as in [`Table::prune_versions`]), so the precheck, the
+    /// index range, and the chain walks see one consistent state. Chains
+    /// are walked by reference under each leaf's read latch; only matching
+    /// visible images are cloned.
     pub fn lookup_secondary_at(
         &self,
         idx: usize,
@@ -941,12 +953,12 @@ impl Table {
             .sec_gate
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        let chained: Vec<Key> = mlock(&self.chained).iter().cloned().collect();
+        let chained = mlock(&self.chained);
         // If any live chained row's projection differs between images, the
         // index range below could miss a historically-matching row.
         // (Tombstones are exempt: the pass at the bottom scans them all, so
         // nothing can be missed.)
-        for k in &chained {
+        for k in chained.iter() {
             let stable = self.tree.read_entry(k, |e| {
                 let Some(e) = e else { return true };
                 let Some(current) = &e.row else { return true };
@@ -960,6 +972,20 @@ impl Table {
                 return None;
             }
         }
+        // One entry's visible image, if it matches `prefix`, keyed for the
+        // output order; `Err` if the walk taints.
+        let visible_match = |current: Option<&Row>, chain: &[ChainEntry]| match reconstruct_ref(
+            current, chain, view, reader, commits,
+        ) {
+            Visibility::Tainted => Err(()),
+            Visibility::Visible(Some(r)) => {
+                let sk = r.project(cols);
+                Ok(sk
+                    .starts_with(prefix)
+                    .then(|| ((sk, self.schema.key_of(r)), r.clone())))
+            }
+            Visibility::Visible(None) => Ok(None),
+        };
         let mut out: BTreeMap<(Key, Key), Row> = BTreeMap::new();
         let hits: Vec<Slot> = self.secondary[idx]
             .read()
@@ -972,42 +998,20 @@ impl Table {
             let key = self
                 .key_of_slot(slot)
                 .expect("indexed slot holds a live row under the gate");
-            let (current, chain) = self
-                .tree
-                .read_entry(&key, |e| e.map(|e| (e.row.clone(), e.chain.clone())))
-                .expect("indexed key has an entry under the gate");
-            match reconstruct(current.as_ref(), &chain, view, reader, commits) {
-                Visibility::Tainted => return None,
-                Visibility::Visible(Some(r)) => {
-                    let sk = r.project(cols);
-                    if sk.starts_with(prefix) {
-                        let pk = self.schema.key_of(&r);
-                        out.insert((sk, pk), r);
-                    }
-                }
-                Visibility::Visible(None) => {}
-            }
+            let hit = self.tree.read_entry(&key, |e| {
+                let e = e.expect("indexed key has an entry under the gate");
+                visible_match(e.row.as_ref(), &e.chain)
+            });
+            out.extend(hit.ok()?);
         }
         // Deleted keys may still be visible at an older view; their
         // tombstone entries are all in the chained set.
-        for k in &chained {
-            let Some((None, chain)) = self
-                .tree
-                .read_entry(k, |e| e.map(|e| (e.row.clone(), e.chain.clone())))
-            else {
-                continue;
-            };
-            match reconstruct(None, &chain, view, reader, commits) {
-                Visibility::Tainted => return None,
-                Visibility::Visible(Some(r)) => {
-                    let sk = r.project(cols);
-                    if sk.starts_with(prefix) {
-                        let pk = self.schema.key_of(&r);
-                        out.insert((sk, pk), r);
-                    }
-                }
-                Visibility::Visible(None) => {}
-            }
+        for k in chained.iter() {
+            let hit = self.tree.read_entry(k, |e| match e {
+                Some(e) if e.row.is_none() => visible_match(None, &e.chain),
+                _ => Ok(None),
+            });
+            out.extend(hit.ok()?);
         }
         Some(out.into_values().collect())
     }

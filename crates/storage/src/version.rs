@@ -61,6 +61,12 @@ use std::collections::HashMap;
 /// transactions to their published commit LSN (see the module docs on
 /// commit publication). `None` means the writer is genuinely still in
 /// flight (or aborted / failed its commit fsync): unwind past its entries.
+///
+/// Version reads walk chains by reference under the leaf's page read
+/// latch, so the resolver is consulted *with that latch held*. An
+/// implementation must therefore be a leaf in the lock order: it may take
+/// its own lock (the transaction layer's committing-map mutex) but nothing
+/// else, and no holder of that lock may ever wait for a page latch.
 pub trait CommitResolver {
     /// The published commit LSN of `txn`, if its commit record has been
     /// appended and its chains may not be physically finalized yet.
@@ -130,20 +136,32 @@ impl ChainEntry {
     }
 }
 
-/// The outcome of a version-chain walk.
+/// The outcome of a version-chain walk: an owned image by default, or a
+/// reference into the walked entry ([`reconstruct_ref`]).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Visibility {
+pub enum Visibility<R = Row> {
     /// The row image at the read view (`None` = row absent at that view).
-    Visible(Option<Row>),
+    Visible(Option<R>),
     /// No physical image equals the logical snapshot (an uncommitted or
     /// too-new write is buried under a visible one, or the reader wrote the
     /// row itself). Fall back to a locked read.
     Tainted,
 }
 
+impl Visibility<&Row> {
+    /// Clone the one image the walk returned.
+    pub fn cloned(self) -> Visibility {
+        match self {
+            Visibility::Visible(r) => Visibility::Visible(r.cloned()),
+            Visibility::Tainted => Visibility::Tainted,
+        }
+    }
+}
+
 /// Reconstruct the image visible at `view` from the current slot value and
 /// its chain (oldest first), resolving `Pending` entries of published
-/// committers through `commits`. See the module docs for the rule.
+/// committers through `commits`. See the module docs for the rule. The
+/// owned form of [`reconstruct_ref`].
 pub fn reconstruct(
     current: Option<&Row>,
     chain: &[ChainEntry],
@@ -151,6 +169,19 @@ pub fn reconstruct(
     reader: TxnId,
     commits: &dyn CommitResolver,
 ) -> Visibility {
+    reconstruct_ref(current, chain, view, reader, commits).cloned()
+}
+
+/// The chain walk itself, by reference: the returned image borrows from
+/// `current` or from one entry's before-image, so a caller reading under a
+/// leaf latch clones at most the one image it keeps.
+pub fn reconstruct_ref<'a>(
+    current: Option<&'a Row>,
+    chain: &'a [ChainEntry],
+    view: u64,
+    reader: TxnId,
+    commits: &dyn CommitResolver,
+) -> Visibility<&'a Row> {
     // The effective commit LSN: physical for finalized entries, published
     // for `Pending` entries of a committed-but-unfinalized writer. Both
     // evaluate identically, which is what makes the lazy physical rewrite
@@ -159,9 +190,8 @@ pub fn reconstruct(
         ChainEntry::Committed { commit_lsn, .. } => Some(*commit_lsn),
         ChainEntry::Pending { txn, .. } => commits.commit_lsn(*txn),
     };
-    let mut cur = current.cloned();
-    for i in (0..chain.len()).rev() {
-        let e = &chain[i];
+    let mut cur = current;
+    for (i, e) in chain.iter().enumerate().rev() {
         if matches!(e, ChainEntry::Pending { txn, .. } if *txn == reader) {
             // Own writes go through the lock path, never through versions.
             return Visibility::Tainted;
@@ -177,7 +207,7 @@ pub fn reconstruct(
                     Visibility::Tainted
                 };
             }
-            _ => cur = e.before().cloned(),
+            _ => cur = e.before(),
         }
     }
     Visibility::Visible(cur)

@@ -15,12 +15,19 @@
 //! commit LSN (the runner's commit-publication window between the `Commit`
 //! append and `finalize_versions`): reads through the publication resolver
 //! must be indistinguishable from reads over finalized chains.
+//!
+//! A second, unconstrained harness builds arbitrary chains — Pending,
+//! published, Committed at non-monotone LSNs, own-writer entries, and
+//! key-changing updates — and checks that the by-reference read paths
+//! answer exactly what the owned chain walk plus the `key_of` mismatch rule
+//! they replaced would have answered.
 
 use acc_common::{SeededRng, TableId, TxnId, Value};
 use acc_storage::{
-    ColumnType, CommitResolver, Key, NoCommits, Row, Table, TableSchema, UndoRecord, Visibility,
+    ChainEntry, ColumnType, CommitResolver, Key, NoCommits, Row, Table, TableSchema, UndoRecord,
+    Visibility,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 fn schema() -> TableSchema {
     let mut s = TableSchema::builder("t")
@@ -374,4 +381,320 @@ fn reinsert_revives_tombstone_history() {
     t.prune_versions(15);
     assert_eq!(img(&t, &key, 15), Some((2, 20)));
     assert_eq!(t.n_version_chains(), 0, "fully pruned");
+}
+
+// ----- By-reference reads vs the owned walk they replaced -----------------
+
+/// The owned chain walk the by-reference reads replaced, kept verbatim as
+/// the oracle: clone the current image, clone each before-image unwound.
+fn owned_reconstruct(
+    current: Option<&Row>,
+    chain: &[ChainEntry],
+    view: u64,
+    reader: TxnId,
+    commits: &dyn CommitResolver,
+) -> Visibility {
+    let lsn_of = |e: &ChainEntry| match e {
+        ChainEntry::Committed { commit_lsn, .. } => Some(*commit_lsn),
+        ChainEntry::Pending { txn, .. } => commits.commit_lsn(*txn),
+    };
+    let mut cur = current.cloned();
+    for i in (0..chain.len()).rev() {
+        let e = &chain[i];
+        if matches!(e, ChainEntry::Pending { txn, .. } if *txn == reader) {
+            return Visibility::Tainted;
+        }
+        match lsn_of(e) {
+            Some(c) if c <= view => {
+                return if chain[..i]
+                    .iter()
+                    .all(|d| lsn_of(d).is_some_and(|c| c <= view))
+                {
+                    Visibility::Visible(cur)
+                } else {
+                    Visibility::Tainted
+                };
+            }
+            _ => cur = e.before().cloned(),
+        }
+    }
+    Visibility::Visible(cur)
+}
+
+/// The old mismatch rule: some image's `key_of` differs from the entry key.
+fn key_mismatch(s: &TableSchema, key: &Key, current: Option<&Row>, chain: &[ChainEntry]) -> bool {
+    current
+        .into_iter()
+        .chain(chain.iter().filter_map(|e| e.before()))
+        .any(|r| s.key_of(r) != *key)
+}
+
+const EQ_KEYS: i64 = 8;
+const EQ_MAX_LSN: u64 = 20;
+
+/// Every key of the test universe that has an entry, in key order.
+fn entries(t: &Table) -> Vec<(Key, Option<Row>, Vec<ChainEntry>)> {
+    (0..EQ_KEYS)
+        .filter_map(|k| {
+            let key = Key::ints(&[k]);
+            let (row, chain) = t.version_entry(&key)?;
+            Some((key, row, chain))
+        })
+        .collect()
+}
+
+fn oracle_read(
+    t: &Table,
+    key: &Key,
+    view: u64,
+    reader: TxnId,
+    c: &dyn CommitResolver,
+) -> Visibility {
+    match t.version_entry(key) {
+        None => Visibility::Visible(None),
+        Some((row, chain)) if key_mismatch(t.schema(), key, row.as_ref(), &chain) => {
+            Visibility::Tainted
+        }
+        Some((row, chain)) => owned_reconstruct(row.as_ref(), &chain, view, reader, c),
+    }
+}
+
+fn oracle_scan(
+    t: &Table,
+    take: impl Fn(&Key) -> bool,
+    view: u64,
+    reader: TxnId,
+    c: &dyn CommitResolver,
+) -> Option<Vec<Row>> {
+    let mut out = Vec::new();
+    for (key, row, chain) in entries(t).into_iter().filter(|(k, ..)| take(k)) {
+        if key_mismatch(t.schema(), &key, row.as_ref(), &chain) {
+            return None;
+        }
+        match owned_reconstruct(row.as_ref(), &chain, view, reader, c) {
+            Visibility::Tainted => return None,
+            Visibility::Visible(Some(r)) => out.push(r),
+            Visibility::Visible(None) => {}
+        }
+    }
+    Some(out)
+}
+
+/// The old secondary fast path over public state: the projection precheck
+/// over every chained entry, the index hits, then the tombstone pass.
+fn oracle_secondary(
+    t: &Table,
+    prefix: &Key,
+    view: u64,
+    reader: TxnId,
+    c: &dyn CommitResolver,
+) -> Option<Vec<Row>> {
+    let cols = &t.schema().secondary[0];
+    let all = entries(t);
+    for (_, row, chain) in &all {
+        if let Some(cur) = row {
+            let p = cur.project(cols);
+            if chain
+                .iter()
+                .filter_map(|e| e.before())
+                .any(|r| r.project(cols) != p)
+            {
+                return None;
+            }
+        }
+    }
+    let mut out: BTreeMap<(Key, Key), Row> = BTreeMap::new();
+    let mut add = |v: Visibility| match v {
+        Visibility::Tainted => false,
+        Visibility::Visible(Some(r)) => {
+            let sk = r.project(cols);
+            if sk.starts_with(prefix) {
+                out.insert((sk, t.schema().key_of(&r)), r);
+            }
+            true
+        }
+        Visibility::Visible(None) => true,
+    };
+    for slot in t.lookup_secondary(0, prefix) {
+        let key = t.key_of_slot(slot).expect("indexed slot is live");
+        let (row, chain) = t.version_entry(&key).expect("indexed key has an entry");
+        if !add(owned_reconstruct(row.as_ref(), &chain, view, reader, c)) {
+            return None;
+        }
+    }
+    for (_, row, chain) in &all {
+        if row.is_none() && !add(owned_reconstruct(None, chain, view, reader, c)) {
+            return None;
+        }
+    }
+    Some(out.into_values().collect())
+}
+
+/// Tallies showing the generator reached every chain shape the rule
+/// distinguishes.
+#[derive(Default)]
+struct Seen {
+    pending: usize,
+    published: usize,
+    committed: usize,
+    own_taints: usize,
+    key_change_taints: usize,
+    scan_answers: usize,
+    secondary_answers: usize,
+}
+
+/// One random physical op by `txn`, with no lock discipline: chains end up
+/// with buried pending writes, interleaved writers, and key moves.
+fn random_op(t: &Table, txn: TxnId, rng: &mut SeededRng) {
+    let k = rng.int_range(0, EQ_KEYS - 1);
+    let key = Key::ints(&[k]);
+    let live = t.get(&key);
+    match (rng.index(5), live) {
+        (0, None) => {
+            let (slot, _) = t
+                .insert(row(k, rng.int_range(0, 2), rng.int_range(0, 99)))
+                .expect("insert of absent key");
+            t.push_version(slot, txn, None);
+        }
+        (1 | 2, Some((slot, before))) => {
+            // Mostly in-place updates of b; sometimes move the indexed a.
+            let col = if rng.chance(0.2) { 1 } else { 2 };
+            let v = rng.int_range(0, if col == 1 { 2 } else { 99 });
+            t.update_with(slot, |r| {
+                r.set(col, Value::Int(v));
+            })
+            .expect("update of live slot");
+            t.push_version(slot, txn, Some(before));
+        }
+        (3, Some((slot, before))) => {
+            t.delete_by_key(&key).expect("delete of live key");
+            t.push_delete_version(key, slot, txn, before);
+        }
+        (4, Some((slot, before))) => {
+            // Key-changing update: the chain follows the slot to the new
+            // key, so both keys' histories stop describing one row.
+            let to = rng.int_range(0, EQ_KEYS - 1);
+            if t.get(&Key::ints(&[to])).is_some() {
+                return;
+            }
+            t.update(slot, row(to, before.int(1), before.int(2)))
+                .expect("key move to an absent key");
+            t.push_version(slot, txn, Some(before));
+        }
+        _ => {}
+    }
+}
+
+fn assert_by_ref_matches_owned(
+    t: &Table,
+    writers: &[TxnId],
+    c: &dyn CommitResolver,
+    rng: &mut SeededRng,
+    seen: &mut Seen,
+) {
+    let readers: Vec<TxnId> = std::iter::once(READER)
+        .chain(writers.iter().copied())
+        .collect();
+    for view in 0..=EQ_MAX_LSN + 1 {
+        for &reader in &readers {
+            for k in 0..EQ_KEYS {
+                let key = Key::ints(&[k]);
+                let want = oracle_read(t, &key, view, reader, c);
+                assert_eq!(
+                    t.read_at(&key, view, reader, c),
+                    want,
+                    "read_at k={k} view={view} reader={reader:?}"
+                );
+                if want == Visibility::Tainted {
+                    let (row, chain) = t.version_entry(&key).expect("tainted key has an entry");
+                    if key_mismatch(t.schema(), &key, row.as_ref(), &chain) {
+                        seen.key_change_taints += 1;
+                    } else if chain
+                        .iter()
+                        .any(|e| matches!(e, ChainEntry::Pending { txn, .. } if *txn == reader))
+                    {
+                        seen.own_taints += 1;
+                    }
+                }
+            }
+            let scanned = t.scan_prefix_at(&Key(Vec::new()), view, reader, c);
+            assert_eq!(
+                scanned,
+                oracle_scan(t, |_| true, view, reader, c),
+                "scan_prefix_at view={view} reader={reader:?}"
+            );
+            seen.scan_answers += usize::from(scanned.is_some());
+            let (a, b) = (rng.int_range(0, EQ_KEYS), rng.int_range(0, EQ_KEYS));
+            let (lo, hi) = (Key::ints(&[a.min(b)]), Key::ints(&[a.max(b)]));
+            assert_eq!(
+                t.scan_range_at(&lo, &hi, view, reader, c),
+                oracle_scan(t, |k| *k >= lo && *k < hi, view, reader, c),
+                "scan_range_at [{lo}, {hi}) view={view} reader={reader:?}"
+            );
+            for a in 0..3 {
+                let prefix = Key::ints(&[a]);
+                let got = t.lookup_secondary_at(0, &prefix, view, reader, c);
+                assert_eq!(
+                    got,
+                    oracle_secondary(t, &prefix, view, reader, c),
+                    "lookup_secondary_at a={a} view={view} reader={reader:?}"
+                );
+                seen.secondary_answers += usize::from(got.is_some());
+            }
+        }
+    }
+}
+
+#[test]
+fn by_reference_reads_equal_owned_walk() {
+    let mut rng = SeededRng::new(0xb0_77ed);
+    let mut seen = Seen::default();
+    let writers: Vec<TxnId> = (1..=5).map(TxnId).collect();
+    for _case in 0..40 {
+        let t = Table::new(schema());
+        let mut published: HashMap<TxnId, u64> = HashMap::new();
+        for op in 0..30 {
+            let txn = writers[rng.index(writers.len())];
+            match rng.index(10) {
+                // Finalize at an arbitrary (non-monotone) LSN.
+                0 => {
+                    t.finalize_versions(txn, rng.int_range(1, EQ_MAX_LSN as i64) as u64);
+                    published.remove(&txn);
+                }
+                // Publish without finalizing.
+                1 => {
+                    published.insert(txn, rng.int_range(1, EQ_MAX_LSN as i64) as u64);
+                }
+                _ => random_op(&t, txn, &mut rng),
+            }
+            if op % 6 == 5 {
+                for (_, _, chain) in entries(&t) {
+                    for e in &chain {
+                        match e {
+                            ChainEntry::Pending { txn, .. } if published.contains_key(txn) => {
+                                seen.published += 1
+                            }
+                            ChainEntry::Pending { .. } => seen.pending += 1,
+                            ChainEntry::Committed { .. } => seen.committed += 1,
+                        }
+                    }
+                }
+                assert_by_ref_matches_owned(&t, &writers, &published, &mut rng, &mut seen);
+            }
+        }
+        assert_by_ref_matches_owned(&t, &writers, &NoCommits, &mut rng, &mut seen);
+    }
+    assert!(seen.pending > 0, "no unpublished pending entries generated");
+    assert!(seen.published > 0, "no published pending entries generated");
+    assert!(seen.committed > 0, "no committed entries generated");
+    assert!(seen.own_taints > 0, "own-writer taint never exercised");
+    assert!(
+        seen.key_change_taints > 0,
+        "key-changing chains never reached a read"
+    );
+    assert!(seen.scan_answers > 0, "every scan fell back");
+    assert!(
+        seen.secondary_answers > 0,
+        "every secondary lookup fell back"
+    );
 }
