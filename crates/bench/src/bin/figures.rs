@@ -8,18 +8,20 @@
 //! Subcommands: `fig2`, `fig3`, `fig4`, `servers`, `olcount`, `ablation`,
 //! `twolevel`, `lockstat`, `tables`, `infer`, `torture` (`--strided` for the
 //! benchmark-scale sweep, `--fsync` for the fsync-boundary sweep,
-//! `--reanalysis` for the online table-switchover sweep, `--net` for the
-//! network front-end), `wal`, `mtbench`, `pagebench`, `retry`, `stress`,
-//! `saturate`, `all`. `--quick` runs a shorter sweep for smoke-testing. The
-//! deterministic simulator subcommands (everything in `all`) are
+//! `--reanalysis` for the online table-switchover sweep, `--ship` for the
+//! WAL-shipping sweep, `--net` for the network front-end), `wal`,
+//! `mtbench`, `pagebench`, `retry`, `stress`, `saturate`, `all`. `--quick`
+//! runs a shorter sweep for smoke-testing. The deterministic simulator
+//! subcommands (everything in `all`) are
 //! byte-identical across runs; `wal`/`mtbench`/`pagebench`/`retry`/`stress`/
 //! `saturate` are wall-clock and intentionally kept out of `all`.
 
 use acc_bench::figures::{
     ablation_table, dump_inferred, dump_tables, fig2, fig3, fig4, lockstat, olcount_table,
-    servers_table, torture, torture_strided, twolevel_table, FigureParams,
+    servers_table, torture, twolevel_table, FigureParams,
 };
 use acc_bench::{mtbench, netbench, pagebench, walbench};
+use acc_tpcc::TpccSweep;
 
 /// Every subcommand, one line each, for `--help`. `scripts/check.sh` greps
 /// this output against the subcommands the README mentions, so the list must
@@ -131,15 +133,15 @@ fn main() {
             if net {
                 netbench::net_torture(quick);
             } else if ship {
-                walbench::ship_torture(quick);
+                torture(TpccSweep::Ship, quick);
             } else if reanalysis {
-                walbench::reanalysis_torture(quick);
+                torture(TpccSweep::Reanalysis, quick);
             } else if fsync {
-                walbench::fsync_torture(quick);
+                torture(TpccSweep::Fsync, quick);
             } else if strided {
-                torture_strided();
+                torture(TpccSweep::Strided, quick);
             } else {
-                torture(quick);
+                torture(TpccSweep::Plain, quick);
             }
         }
         "wal" => {

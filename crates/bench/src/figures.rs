@@ -11,7 +11,8 @@ use acc_tpcc::decompose::TpccSystem;
 use acc_tpcc::input::TpccConfig;
 use acc_tpcc::schema::Scale;
 use acc_tpcc::trace::TraceCosts;
-use acc_tpcc::TpccTraceSource;
+use acc_tpcc::{TpccSweep, TpccTraceSource};
+use acc_workloads::run_torture;
 
 /// Everything one experiment needs.
 #[derive(Debug, Clone)]
@@ -514,33 +515,18 @@ fn pagestat(seed: u64) {
     );
 }
 
-/// Run the crash-torture sweep (see `acc_tpcc::torture`): a seeded TPC-C mix
-/// crashed at every WAL-append index plus seeded torn-tail and bit-flip
-/// corruptions, each salvaged image recovered, compensated, and audited
-/// against the §3.3.2 consistency conditions. Prints the per-point outcome
-/// log and a summary; exits non-zero on any violation.
-pub fn torture(quick: bool) -> acc_tpcc::torture::TortureReport {
-    torture_with(if quick {
-        acc_tpcc::torture::TortureConfig::smoke(42)
-    } else {
-        acc_tpcc::torture::TortureConfig::standard(42)
-    })
-}
-
-/// The strided benchmark-scale torture variant (`figures -- torture
-/// --strided`): the same sweep and invariants against [`Scale::benchmark`],
-/// whose much longer WAL is crashed at sampled (strided) append indices
-/// instead of every one.
-pub fn torture_strided() -> acc_tpcc::torture::TortureReport {
-    torture_with(acc_tpcc::torture::TortureConfig::benchmark_strided(42))
-}
-
-fn torture_with(cfg: acc_tpcc::torture::TortureConfig) -> acc_tpcc::torture::TortureReport {
+/// Run one TPC-C crash-torture sweep at seed 42 (`figures -- torture
+/// [--strided|--fsync|--reanalysis|--ship]`; see `acc_tpcc::kit` and the
+/// shared harness in `acc_workloads::torture`): print the per-point outcome
+/// log and a summary, and exit non-zero on any violation or mixed-epoch
+/// lookup.
+pub fn torture(sweep: TpccSweep, quick: bool) {
+    let (kit, cfg) = sweep.setup(42, quick);
     println!(
-        "\n=== crash torture: {} txns at {} warehouse(s) × {} district(s), seed {} ===",
-        cfg.txns, cfg.scale.warehouses, cfg.scale.districts, cfg.seed
+        "\n=== {sweep:?} crash torture: {} txns at {} warehouse(s) × {} district(s), seed {} ===",
+        cfg.txns, kit.scale.warehouses, kit.scale.districts, cfg.seed
     );
-    let report = match acc_tpcc::torture::run_torture(&cfg) {
+    let report = match run_torture(&kit, &cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("torture harness failed: {e}");
@@ -549,19 +535,21 @@ fn torture_with(cfg: acc_tpcc::torture::TortureConfig) -> acc_tpcc::torture::Tor
     };
     print!("{}", report.log);
     println!(
-        "summary: {} crash points, {} replayed, {} compensated, {} discarded, {} records rejected, {} violations",
+        "summary: {} points ({} crash points), {} replayed, {} compensated, {} discarded, \
+         {} records rejected, {} violations, {} mixed-epoch lookups",
         report.points,
+        report.crash_points,
         report.replayed,
         report.compensated,
         report.discarded,
         report.rejected_records,
-        report.violations
+        report.violations,
+        report.mixed_epoch_lookups
     );
-    if report.violations > 0 {
+    if report.violations > 0 || report.mixed_epoch_lookups > 0 {
         eprintln!("CONSISTENCY VIOLATIONS under crash torture");
         std::process::exit(1);
     }
-    report
 }
 
 /// Dump every machine-*inferred* interference matrix as deterministic JSON

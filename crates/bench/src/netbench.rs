@@ -14,9 +14,9 @@
 //!    the commit responses the server produced — acknowledged or torn in
 //!    transit, never silent;
 //! 3. a crash sweep over the baseline's WAL: the image is cut at record
-//!    boundaries, salvaged, recovered, compensation resumed — the same §3.4
-//!    pipeline the engine-level tortures prove, here over a log written
-//!    entirely by network-submitted transactions;
+//!    boundaries, salvaged, recovered, compensation resumed — the shared
+//!    append-index sweep of `acc_workloads::torture`, here over a log
+//!    written entirely by network-submitted transactions;
 //! 4. a determinism check: the baseline re-run produces a byte-identical
 //!    WAL and outcome log.
 //!
@@ -35,13 +35,9 @@ use acc_server::{
     run_open_loop, ArrivalSchedule, CallOutcome, Frontend, LoadgenConfig, MemConn, Mix, Response,
     ServerConfig,
 };
-use acc_storage::Database;
-use acc_txn::runner::rollback;
-use acc_txn::{SharedDb, Transaction, TxnState};
 use acc_wal::{recover, Wal};
 use acc_workloads::smallbank::SmallbankKit;
-use acc_workloads::torture::WorkloadKit;
-use std::collections::HashSet;
+use acc_workloads::torture::{crash_sweep, WorkloadKit};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -170,70 +166,16 @@ fn audit_run(kit: &SmallbankKit, frontend: &Frontend, tally: &Tally) -> Result<(
     Ok(())
 }
 
-/// Byte offsets just after each whole record frame in a WAL image.
-fn record_offsets(image: &[u8]) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while image.len() - pos >= 12 {
-        let len = u32::from_le_bytes(image[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        if image.len() - pos - 12 < len {
-            break;
-        }
-        pos += 12 + len;
-        out.push(pos);
-    }
-    out
-}
-
-/// One crash point over a network-written log: salvage, recover, resume
-/// compensation, audit, account.
-fn crash_point(kit: &SmallbankKit, base: &Database, bytes: &[u8]) -> Result<(usize, usize, usize)> {
-    let salvaged = Wal::from_bytes(bytes);
-    let txns_on_log: HashSet<_> = salvaged.records().iter().map(|r| r.txn()).collect();
-    let mut db = base.clone();
-    let report = recover(&mut db, &salvaged)?;
-    let shared = SharedDb::new(db, kit.tables() as _);
-    let acc = kit.acc();
-    let mut compensated = 0usize;
-    for inf in &report.needs_compensation {
-        let mut program = kit.program_for_inflight(inf)?;
-        let mut txn = Transaction::new(inf.txn, inf.txn_type);
-        txn.steps_completed = inf.steps_completed;
-        txn.step_index = inf.steps_completed;
-        txn.state = TxnState::Active;
-        rollback(&shared, &*acc, program.as_mut(), &mut txn)?;
-        compensated += 1;
-    }
-    let replayed = report.committed.len() + report.aborted.len();
-    let discarded = report.discarded.len();
-    if replayed + compensated + discarded != txns_on_log.len() {
-        return Err(Error::Internal(format!(
-            "crash accounting hole: {} on log, {replayed}+{compensated}+{discarded} accounted",
-            txns_on_log.len()
-        )));
-    }
-    if let Some(violation) = kit.audit(&shared.snapshot_db()).first() {
-        return Err(Error::Internal(format!(
-            "crash point fails audit: {violation}"
-        )));
-    }
-    if shared.total_grants() != 0 {
-        return Err(Error::Internal(
-            "crash-point compensation leaked lock grants".into(),
-        ));
-    }
-    Ok((replayed, compensated, discarded))
-}
-
 /// The `figures -- torture --net` sweep. Panics (figure-harness convention)
 /// if any audit fails.
 pub fn net_torture(quick: bool) {
-    let (requests, fault_plans, max_points) = if quick { (50, 4, 6) } else { (160, 10, 24) };
-    let report = run_net_torture(requests, fault_plans, max_points).expect("net torture");
+    let report = run_net_torture(quick).expect("net torture");
     print!("{report}");
 }
 
-fn run_net_torture(requests: u64, fault_plans: usize, max_points: usize) -> Result<String> {
+/// The `torture --net` outcome log, full size or `quick`.
+pub fn run_net_torture(quick: bool) -> Result<String> {
+    let (requests, fault_plans, max_points) = if quick { (50, 4, 6) } else { (160, 10, 24) };
     let mut log = String::new();
     let kit = SmallbankKit::build(ACCOUNTS);
 
@@ -278,26 +220,20 @@ fn run_net_torture(requests: u64, fault_plans: usize, max_points: usize) -> Resu
         fe.shutdown();
     }
 
-    // Phase 3: crash sweep over the network-written baseline log.
-    let base = kit.base();
-    let offsets = record_offsets(&baseline_image);
-    let stride = offsets.len().div_ceil(max_points).max(1);
-    let (mut points, mut replayed, mut compensated, mut discarded) = (0, 0, 0, 0);
-    for (idx, &off) in offsets.iter().enumerate() {
-        let last = idx == offsets.len() - 1;
-        if idx % stride != 0 && !last {
-            continue;
-        }
-        let (r, c, d) = crash_point(&kit, &base, &baseline_image[..off])?;
-        points += 1;
-        replayed += r;
-        compensated += c;
-        discarded += d;
+    // Phase 3: crash sweep over the network-written baseline log, through
+    // the same append-index sweep and crash-point audit the engine-level
+    // tortures use.
+    let sweep = crash_sweep(&kit, &baseline_image, max_points)?;
+    if sweep.violations != 0 {
+        return Err(Error::Internal(format!(
+            "crash sweep over the net-written log failed its audit:\n{}",
+            sweep.log
+        )));
     }
     let _ = writeln!(
         log,
-        "[net] crash sweep: {points} points, {replayed} replayed, {compensated} compensated, \
-         {discarded} discarded, 0 violations"
+        "[net] crash sweep: {} points, {} replayed, {} compensated, {} discarded, {} violations",
+        sweep.points, sweep.replayed, sweep.compensated, sweep.discarded, sweep.violations
     );
 
     // Phase 4: determinism — same seeds, byte-identical WAL, identical tally.

@@ -209,13 +209,12 @@ mod tests {
     use acc_storage::{Catalog, Database};
     use acc_wal::MemDevice;
 
-    /// A fake record frame: 12-byte header + `len` payload bytes. The
-    /// follower verifies framing and chains, not payload checksums — those
-    /// are replay's business, and these tests never replay.
+    /// A frame of `len` payload bytes that need not decode as a record.
+    /// The follower verifies framing and chains, not payloads — those are
+    /// replay's business, and these tests never replay.
     fn frame(len: usize, fill: u8) -> Vec<u8> {
-        let mut f = vec![0u8; 12 + len];
-        f[..4].copy_from_slice(&(len as u32).to_le_bytes());
-        f[12..].fill(fill);
+        let mut f = Vec::new();
+        acc_wal::codec::encode_frame(&vec![fill; len], &mut f);
         f
     }
 

@@ -18,23 +18,27 @@
 //! * [`consistency`] — the TPC-C consistency conditions, with the strict
 //!   variants that only serializable execution guarantees separated from the
 //!   semantic-correctness variants the ACC guarantees;
-//! * [`torture`] — the crash-torture harness: recovery + compensation +
-//!   consistency at every WAL crash point, plus seeded corruption;
+//! * [`recovery`] — rebuilding in-flight programs from their durable work
+//!   areas after a crash;
+//! * [`kit`] — TPC-C as an [`acc_workloads::WorkloadKit`], and the
+//!   crash-torture sweeps (`figures -- torture`) run over it by the shared
+//!   harness in [`acc_workloads::torture`];
 //! * [`trace`] — the same workload as simulator traces for the figure
 //!   harness.
 
 pub mod consistency;
 pub mod decompose;
 pub mod input;
+pub mod kit;
 pub mod populate;
 pub mod recovery;
 pub mod schema;
-pub mod torture;
 pub mod trace;
 pub mod txns;
 
 pub use decompose::TpccSystem;
 pub use input::{InputGen, TpccConfig, TxnKind};
+pub use kit::{TpccKit, TpccSweep};
 pub use populate::populate;
 pub use schema::{tpcc_catalog, Scale, TableIds};
 pub use trace::TpccTraceSource;

@@ -1,18 +1,18 @@
 //! Crash-torture: recovery + compensation must hold at every crash point.
 //!
-//! These tests drive `acc_tpcc::torture` (see that module for the sweep
+//! These tests drive the TPC-C sweeps of `acc_tpcc::kit` through the shared
+//! harness in `acc_workloads::torture` (see that module for the sweep
 //! design): a seeded TPC-C mix, a crash at every WAL-append index plus
 //! seeded torn-tail and bit-flip corruptions, and a recovery + compensation
 //! + §3.3.2-consistency pass for each salvaged image.
 
-use acc_tpcc::torture::{
-    run_fsync_torture, run_reanalysis_torture, run_torture, FsyncTortureConfig,
-    ReanalysisTortureConfig, TortureConfig,
-};
+use acc_tpcc::TpccSweep;
 
 #[test]
 fn standard_sweep_holds_consistency_at_every_crash_point() {
-    let report = run_torture(&TortureConfig::standard(42)).expect("torture harness failed");
+    let report = TpccSweep::Plain
+        .run(42, false)
+        .expect("torture harness failed");
     assert!(
         report.points >= 200,
         "swept only {} crash points (need ≥ 200)\n{}",
@@ -51,8 +51,12 @@ fn standard_sweep_holds_consistency_at_every_crash_point() {
 
 #[test]
 fn same_seed_yields_byte_identical_outcome_logs() {
-    let a = run_torture(&TortureConfig::smoke(7)).expect("torture harness failed");
-    let b = run_torture(&TortureConfig::smoke(7)).expect("torture harness failed");
+    let a = TpccSweep::Plain
+        .run(7, true)
+        .expect("torture harness failed");
+    let b = TpccSweep::Plain
+        .run(7, true)
+        .expect("torture harness failed");
     assert_eq!(
         a.log, b.log,
         "two same-seed torture runs diverged — determinism is broken"
@@ -62,16 +66,21 @@ fn same_seed_yields_byte_identical_outcome_logs() {
 
 #[test]
 fn different_seeds_torture_different_points() {
-    let a = run_torture(&TortureConfig::smoke(1)).expect("torture harness failed");
-    let b = run_torture(&TortureConfig::smoke(2)).expect("torture harness failed");
+    let a = TpccSweep::Plain
+        .run(1, true)
+        .expect("torture harness failed");
+    let b = TpccSweep::Plain
+        .run(2, true)
+        .expect("torture harness failed");
     assert_ne!(a.log, b.log, "seed does not steer the sweep");
     assert_eq!(a.violations + b.violations, 0);
 }
 
 #[test]
 fn fsync_sweep_holds_consistency_at_every_boundary() {
-    let report =
-        run_fsync_torture(&FsyncTortureConfig::standard(42)).expect("fsync torture failed");
+    let report = TpccSweep::Fsync
+        .run(42, false)
+        .expect("fsync torture failed");
     assert_eq!(
         report.violations, 0,
         "consistency violated after an fsync-boundary crash:\n{}",
@@ -116,8 +125,8 @@ fn fsync_sweep_holds_consistency_at_every_boundary() {
 
 #[test]
 fn fsync_sweep_same_seed_is_byte_identical() {
-    let a = run_fsync_torture(&FsyncTortureConfig::smoke(7)).expect("fsync torture failed");
-    let b = run_fsync_torture(&FsyncTortureConfig::smoke(7)).expect("fsync torture failed");
+    let a = TpccSweep::Fsync.run(7, true).expect("fsync torture failed");
+    let b = TpccSweep::Fsync.run(7, true).expect("fsync torture failed");
     assert_eq!(
         a.log, b.log,
         "two same-seed fsync torture runs diverged — determinism is broken"
@@ -127,8 +136,9 @@ fn fsync_sweep_same_seed_is_byte_identical() {
 
 #[test]
 fn reanalysis_sweep_switches_at_every_boundary() {
-    let report =
-        run_reanalysis_torture(&ReanalysisTortureConfig::standard(42)).expect("reanalysis failed");
+    let report = TpccSweep::Reanalysis
+        .run(42, false)
+        .expect("reanalysis failed");
     // Every step boundary of the mix hosted a drained switchover (the
     // harness errors out on any WAL divergence, outcome mismatch or counter
     // disagreement, so reaching here means each one behaved).
@@ -168,8 +178,12 @@ fn reanalysis_sweep_switches_at_every_boundary() {
 
 #[test]
 fn reanalysis_sweep_same_seed_is_byte_identical() {
-    let a = run_reanalysis_torture(&ReanalysisTortureConfig::smoke(7)).expect("reanalysis failed");
-    let b = run_reanalysis_torture(&ReanalysisTortureConfig::smoke(7)).expect("reanalysis failed");
+    let a = TpccSweep::Reanalysis
+        .run(7, true)
+        .expect("reanalysis failed");
+    let b = TpccSweep::Reanalysis
+        .run(7, true)
+        .expect("reanalysis failed");
     assert_eq!(
         a.log, b.log,
         "two same-seed reanalysis runs diverged — determinism is broken"
@@ -184,8 +198,7 @@ fn reanalysis_sweep_same_seed_is_byte_identical() {
 
 #[test]
 fn ship_sweep_crashes_every_boundary_on_both_sides() {
-    use acc_tpcc::torture::{run_ship_torture, ShipTortureConfig};
-    let report = run_ship_torture(&ShipTortureConfig::standard(42)).expect("ship torture failed");
+    let report = TpccSweep::Ship.run(42, false).expect("ship torture failed");
     assert_eq!(
         report.violations, 0,
         "replication violated consistency or byte equality:\n{}",
@@ -233,9 +246,8 @@ fn ship_sweep_crashes_every_boundary_on_both_sides() {
 
 #[test]
 fn ship_sweep_same_seed_is_byte_identical() {
-    use acc_tpcc::torture::{run_ship_torture, ShipTortureConfig};
-    let a = run_ship_torture(&ShipTortureConfig::smoke(7)).expect("ship torture failed");
-    let b = run_ship_torture(&ShipTortureConfig::smoke(7)).expect("ship torture failed");
+    let a = TpccSweep::Ship.run(7, true).expect("ship torture failed");
+    let b = TpccSweep::Ship.run(7, true).expect("ship torture failed");
     assert_eq!(
         a.log, b.log,
         "two same-seed ship torture runs diverged — determinism is broken"

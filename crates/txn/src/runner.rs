@@ -10,7 +10,7 @@ use acc_common::events::Event;
 use acc_common::faults::BoundaryEdge;
 use acc_common::{Error, Result};
 use acc_storage::UndoRecord;
-use acc_wal::LogRecord;
+use acc_wal::{InFlight, LogRecord};
 use std::time::{Duration, Instant};
 
 /// Why a transaction rolled back.
@@ -471,4 +471,25 @@ pub fn rollback(
     shared.unpin_epoch(txn.epoch_pin.take());
     txn.state = TxnState::Aborted;
     Ok(())
+}
+
+/// Resume compensation after a crash: for every transaction recovery found
+/// in flight with durable steps, rebuild its program from the durable work
+/// area with `rebuild` and roll it back from its last completed step (§3.4).
+/// Returns how many were compensated.
+pub fn resume_compensation(
+    shared: &SharedDb,
+    cc: &dyn ConcurrencyControl,
+    inflight: &[InFlight],
+    mut rebuild: impl FnMut(&InFlight) -> Result<Box<dyn TxnProgram + Send>>,
+) -> Result<usize> {
+    for inf in inflight {
+        let mut program = rebuild(inf)?;
+        let mut txn = Transaction::new(inf.txn, inf.txn_type);
+        txn.steps_completed = inf.steps_completed;
+        txn.step_index = inf.steps_completed;
+        txn.state = TxnState::Active;
+        rollback(shared, cc, program.as_mut(), &mut txn)?;
+    }
+    Ok(inflight.len())
 }

@@ -33,13 +33,43 @@ fn fnv1a(data: &[u8]) -> u64 {
     h
 }
 
+/// Bytes of the `[len][checksum]` header in front of every payload.
+const HEADER: usize = 12;
+
 /// Append one framed record to `out`.
 pub fn encode_record(rec: &LogRecord, out: &mut Vec<u8>) {
     let mut payload = Vec::new();
     encode_payload(rec, &mut payload);
+    encode_frame(&payload, out);
+}
+
+/// Append `payload` to `out` as one frame. The payload need not decode as a
+/// record: shipping and torture tests forge frames this way.
+pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
     out.put_u32_le(payload.len() as u32);
-    out.put_u64_le(fnv1a(&payload));
-    out.extend_from_slice(&payload);
+    out.put_u64_le(fnv1a(payload));
+    out.extend_from_slice(payload);
+}
+
+/// The byte offset just past each whole frame at the head of `data`: the
+/// `k`-th item is the exact prefix length holding the first `k` frames.
+/// Only the length headers are walked (payload checksums are
+/// [`decode_all`]'s business), and a header claiming more bytes than remain
+/// ends the walk, so no length can overflow the cursor.
+pub fn frame_ends(data: &[u8]) -> impl Iterator<Item = usize> + '_ {
+    let mut pos = 0usize;
+    std::iter::from_fn(move || {
+        let rest = data.len() - pos;
+        if rest < HEADER {
+            return None;
+        }
+        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes")) as usize;
+        if rest - HEADER < len {
+            return None;
+        }
+        pos += HEADER + len;
+        Some(pos)
+    })
 }
 
 fn encode_payload(rec: &LogRecord, p: &mut Vec<u8>) {
@@ -132,11 +162,11 @@ pub fn decode_all(data: &[u8]) -> Vec<LogRecord> {
     let mut buf = Reader::new(data);
     let mut out = Vec::new();
     loop {
-        if buf.remaining() < 12 {
+        if buf.remaining() < HEADER {
             return out;
         }
-        let len = buf.get_u32_le().expect("12-byte header") as usize;
-        let checksum = buf.get_u64_le().expect("12-byte header");
+        let len = buf.get_u32_le().expect("whole header") as usize;
+        let checksum = buf.get_u64_le().expect("whole header");
         let Some(payload) = buf.take(len) else {
             return out;
         };
@@ -322,11 +352,33 @@ mod tests {
         }
         let mut bytes = buf;
         // Flip a byte inside the second record's payload.
-        let first_len = 12 + u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
+        let first_len = frame_ends(&bytes).next().expect("one frame");
         bytes[first_len + 20] ^= 0xff;
         let decoded = decode_all(&bytes);
         assert_eq!(decoded.len(), 1, "decoding stops at the corrupt frame");
         assert_eq!(decoded[0], recs[0]);
+    }
+
+    #[test]
+    fn frame_ends_walks_whole_frames_only() {
+        let recs = sample_records();
+        let mut buf = Vec::new();
+        let mut want = Vec::new();
+        for r in &recs {
+            encode_record(r, &mut buf);
+            want.push(buf.len());
+        }
+        assert_eq!(frame_ends(&buf).collect::<Vec<_>>(), want);
+        // A cut anywhere inside a frame ends the walk before it.
+        for cut in 0..buf.len() {
+            let got: Vec<_> = frame_ends(&buf[..cut]).collect();
+            assert_eq!(got[..], want[..want.partition_point(|&e| e <= cut)]);
+        }
+        // A header claiming the largest length ends the walk, never wraps.
+        let mut hostile = buf.clone();
+        hostile.extend_from_slice(&u32::MAX.to_le_bytes());
+        hostile.extend_from_slice(&[0; 8]);
+        assert_eq!(frame_ends(&hostile).collect::<Vec<_>>(), want);
     }
 
     #[test]

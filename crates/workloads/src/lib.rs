@@ -15,17 +15,15 @@
 //! * [`saga`] — an order-fulfilment saga with up to four reservation legs
 //!   before payment and shipping; crashing late in a long saga exercises
 //!   compensation chains up to six completed steps deep.
-//! * [`torture`] — a workload-generic crash/switchover torture harness:
-//!   baseline, live [`install_oracle`](acc_txn::SharedDb::install_oracle)
-//!   switchover from fully-conservative default tables to the inferred ones,
-//!   determinism double-run, and a crash-at-every-WAL-append sweep with
-//!   resumed compensation and the family's own consistency audit at every
-//!   point.
+//! * [`torture`] — the crash-torture harness every family runs through
+//!   (TPC-C's kit lives in `acc-tpcc`): a [`WorkloadKit`] crashed at every
+//!   point a [`CutSource`] enumerates — WAL appends, fsync boundaries, live
+//!   [`install_oracle`](acc_txn::SharedDb::install_oracle) switchovers, or
+//!   WAL-shipping boundaries — with recovery, resumed compensation and the
+//!   family's own consistency audit at every point.
 
 pub mod saga;
 pub mod smallbank;
 pub mod torture;
 
-pub use torture::{
-    run_workload_torture, WorkloadKit, WorkloadTortureConfig, WorkloadTortureReport,
-};
+pub use torture::{run_torture, CutSource, TortureConfig, TortureReport, WorkloadKit};

@@ -1,6 +1,8 @@
 //! The two bring-your-own-workload families end to end: matrix shape as the
-//! inference derives it, the four-phase crash/switchover torture protocol,
-//! and a short multi-threaded closed-loop burn for each family.
+//! inference derives it, the crash/switchover torture protocol (a
+//! conservative-to-inferred switchover at step boundaries, then crashes
+//! under the inferred tables), fsync-boundary crashes of the saga, and a
+//! short multi-threaded closed-loop burn for each family.
 //!
 //! Nothing here consults a hand-written interference table — the matrices
 //! under test are exactly what [`acc_core::Inference`] produced from the
@@ -11,7 +13,7 @@ use acc_engine::{run_closed_loop, ClosedLoopConfig, RetryPolicy, Workload};
 use acc_lockmgr::InterferenceOracle;
 use acc_txn::SharedDb;
 use acc_workloads::torture::KitWorkload;
-use acc_workloads::{run_workload_torture, saga, smallbank, WorkloadKit, WorkloadTortureConfig};
+use acc_workloads::{run_torture, saga, smallbank, CutSource, TortureConfig, WorkloadKit};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -108,23 +110,47 @@ fn inference_decisions_cover_every_declared_step() {
 }
 
 // ---------------------------------------------------------------------------
-// Torture: four-phase protocol per family.
+// Torture: the switchover protocol per family, and the saga at fsync
+// boundaries.
 // ---------------------------------------------------------------------------
+
+/// Bootstrap under the conservative tables, install the inferred ones at up
+/// about 4 step boundaries, then crash at about `max_points` append indices
+/// and at every fsync boundary of a drain-window run.
+fn switchover(max_points: usize) -> CutSource {
+    CutSource::Switchover {
+        max_boundaries: 4,
+        max_points,
+        max_batch: 128,
+    }
+}
+
+/// Every install drained its one pin without a lookup crossing epochs, and
+/// every crash point was reported to the event sink.
+fn assert_switched_cleanly(report: &acc_workloads::TortureReport) {
+    assert!(report.switch_points > 1, "{}", report.log);
+    assert_eq!(report.drained, report.switch_points as u64);
+    assert_eq!(report.immediate_installs, 1);
+    assert_eq!(report.mixed_epoch_lookups, 0, "{}", report.log);
+    assert_eq!(report.counters.recoveries, report.crash_points as u64);
+    assert_eq!(report.counters.recovered_compensated, report.compensated);
+}
 
 #[test]
 fn smallbank_survives_the_torture_protocol() {
     let kit = smallbank::SmallbankKit::build(8);
-    let cfg = WorkloadTortureConfig {
+    let cfg = TortureConfig {
         seed: 0xB4A2,
-        txns: 120,
-        max_append_points: 80,
+        txns: 60,
+        source: switchover(40),
     };
-    let report = run_workload_torture(&kit, &cfg).expect("torture protocol");
+    let report = run_torture(&kit, &cfg).expect("torture protocol");
     assert_eq!(
         report.violations, 0,
         "consistency violations:\n{}",
         report.log
     );
+    assert_switched_cleanly(&report);
     assert!(
         report.points >= 40,
         "only {} crash points swept",
@@ -137,24 +163,25 @@ fn smallbank_survives_the_torture_protocol() {
     );
     // Determinism of the sweep itself: the outcome log is a pure function
     // of the config.
-    let again = run_workload_torture(&kit, &cfg).expect("torture re-run");
+    let again = run_torture(&kit, &cfg).expect("torture re-run");
     assert_eq!(report.log, again.log, "torture log not deterministic");
 }
 
 #[test]
 fn saga_survives_the_torture_protocol_with_deep_chains() {
     let kit = saga::SagaKit::build(6, 4);
-    let cfg = WorkloadTortureConfig {
+    let cfg = TortureConfig {
         seed: 0x5A6A,
-        txns: 110,
-        max_append_points: 90,
+        txns: 60,
+        source: switchover(40),
     };
-    let report = run_workload_torture(&kit, &cfg).expect("torture protocol");
+    let report = run_torture(&kit, &cfg).expect("torture protocol");
     assert_eq!(
         report.violations, 0,
         "consistency violations:\n{}",
         report.log
     );
+    assert_switched_cleanly(&report);
     assert!(
         report.points >= 40,
         "only {} crash points swept",
@@ -168,8 +195,37 @@ fn saga_survives_the_torture_protocol_with_deep_chains() {
         report.max_comp_depth,
         report.log
     );
-    let again = run_workload_torture(&kit, &cfg).expect("torture re-run");
+    let again = run_torture(&kit, &cfg).expect("torture re-run");
     assert_eq!(report.log, again.log, "torture log not deterministic");
+}
+
+#[test]
+fn saga_survives_fsync_boundary_crashes() {
+    let kit = saga::SagaKit::build(6, 4);
+    let cfg = TortureConfig {
+        seed: 0x5A6A,
+        txns: 8,
+        source: CutSource::Fsync {
+            max_batch: 6,
+            tears: 6,
+            injector: 2,
+        },
+    };
+    let report = run_torture(&kit, &cfg).expect("fsync torture");
+    assert_eq!(
+        report.violations, 0,
+        "consistency violations:\n{}",
+        report.log
+    );
+    assert!(report.boundaries > 0, "{}", report.log);
+    // A boundary inside a saga caught durable legs that had to be
+    // compensated.
+    assert!(
+        report.compensated > 0,
+        "no fsync boundary landed mid-saga:\n{}",
+        report.log
+    );
+    assert_eq!(report.counters.recoveries, report.crash_points as u64);
 }
 
 // ---------------------------------------------------------------------------
@@ -181,7 +237,7 @@ fn saga_survives_the_torture_protocol_with_deep_chains() {
 fn burn(kit: Arc<dyn WorkloadKit>, seed: u64) {
     let shared = Arc::new(SharedDb::new(kit.base(), kit.tables() as _));
     let cc: Arc<dyn acc_txn::ConcurrencyControl> = kit.acc();
-    let workload: Arc<dyn Workload> = Arc::new(KitWorkload(Arc::new(KitRef(Arc::clone(&kit)))));
+    let workload: Arc<dyn Workload> = Arc::new(KitWorkload(Arc::clone(&kit)));
     let report = run_closed_loop(
         &shared,
         &cc,
@@ -202,37 +258,6 @@ fn burn(kit: Arc<dyn WorkloadKit>, seed: u64) {
         kit.name()
     );
     assert_eq!(shared.total_grants(), 0, "{}: grants leaked", kit.name());
-}
-
-/// A [`WorkloadKit`] forwarder so the trait-object kit can ride through the
-/// generic [`KitWorkload`] adapter.
-struct KitRef(Arc<dyn WorkloadKit>);
-
-impl WorkloadKit for KitRef {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn base(&self) -> acc_storage::Database {
-        self.0.base()
-    }
-    fn tables(&self) -> Arc<InterferenceTables> {
-        self.0.tables()
-    }
-    fn acc(&self) -> Arc<acc_core::Acc> {
-        self.0.acc()
-    }
-    fn next_program(&self, rng: &mut acc_common::SeededRng) -> Box<dyn acc_txn::TxnProgram + Send> {
-        self.0.next_program(rng)
-    }
-    fn program_for_inflight(
-        &self,
-        inf: &acc_wal::InFlight,
-    ) -> acc_common::Result<Box<dyn acc_txn::TxnProgram + Send>> {
-        self.0.program_for_inflight(inf)
-    }
-    fn audit(&self, db: &acc_storage::Database) -> Vec<String> {
-        self.0.audit(db)
-    }
 }
 
 #[test]
