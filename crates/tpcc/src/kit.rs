@@ -141,7 +141,7 @@ impl TpccSweep {
                 CutSource::Switchover {
                     max_boundaries: usize::MAX,
                     max_points: 72,
-                    max_batch: 4,
+                    max_batch: Some(4),
                 },
             ),
             (TpccSweep::Reanalysis, true) => (
@@ -149,7 +149,7 @@ impl TpccSweep {
                 CutSource::Switchover {
                     max_boundaries: 16,
                     max_points: 24,
-                    max_batch: 6,
+                    max_batch: Some(6),
                 },
             ),
             (TpccSweep::Ship, false) => (

@@ -184,8 +184,9 @@ pub enum CutSource {
         max_boundaries: usize,
         /// Cap on crash points under the installed tables.
         max_points: usize,
-        /// Group-commit batch threshold of the fsync-during-drain run.
-        max_batch: usize,
+        /// Group-commit batch threshold of the fsync-during-drain run;
+        /// `None` skips that run.
+        max_batch: Option<usize>,
     },
     /// WAL-shipping replication: every ship boundary crashed on both sides
     /// (leader death → promote the follower's prefix; follower death →
@@ -315,7 +316,10 @@ pub fn crash_sweep(
 }
 
 /// `first..=n` strided down to about `max` picks, always ending at `n`; a
-/// line in `log` says so when it strides.
+/// line in `log` says so when it strides. That line's pick count,
+/// `n / stride + 1`, is only approximate (kept so the TPC-C outcome logs
+/// do not change): it is one short when `n` is added as the last pick, and
+/// off again when `first` is 1. The picks themselves are exact.
 fn strided(log: &mut String, what: &str, first: usize, n: usize, max: usize) -> Vec<usize> {
     let stride = n.div_ceil(max).max(1);
     if stride > 1 {
@@ -1015,14 +1019,15 @@ impl<'k> Harness<'k> {
     /// pinned transaction, switch exactly once, and leave the WAL
     /// byte-identical — re-analysis is pure metadata); a quiescent install
     /// between transactions, which must switch immediately; crashes at every
-    /// append index recovered under the installed tables; and every fsync
-    /// boundary of a run whose install falls inside a group-commit window.
+    /// append index recovered under the installed tables; and, given a
+    /// batch threshold, every fsync boundary of a run whose install falls
+    /// inside a group-commit window.
     fn switchover(
         &mut self,
         cfg: &TortureConfig,
         max_boundaries: usize,
         max_points: usize,
-        max_batch: usize,
+        max_batch: Option<usize>,
     ) -> Result<()> {
         let kit = self.kit;
         let bootstrap = kit.bootstrap_tables();
@@ -1133,6 +1138,9 @@ impl<'k> Harness<'k> {
         }
 
         // Fsync boundaries inside the drain window.
+        let Some(max_batch) = max_batch else {
+            return Ok(());
+        };
         let b_mid = (nb / 2).max(1) as u64;
         let drain_tables = &pick(0).1;
         let install = (Install::AtBoundary(b_mid), Arc::clone(drain_tables));

@@ -1,8 +1,9 @@
 //! The two bring-your-own-workload families end to end: matrix shape as the
 //! inference derives it, the crash/switchover torture protocol (a
 //! conservative-to-inferred switchover at step boundaries, then crashes
-//! under the inferred tables), fsync-boundary crashes of the saga, and a
-//! short multi-threaded closed-loop burn for each family.
+//! under the inferred tables), fsync-boundary crashes inside a switchover's
+//! drain window and of the saga, and a short multi-threaded closed-loop burn
+//! for each family.
 //!
 //! Nothing here consults a hand-written interference table — the matrices
 //! under test are exactly what [`acc_core::Inference`] produced from the
@@ -110,18 +111,18 @@ fn inference_decisions_cover_every_declared_step() {
 }
 
 // ---------------------------------------------------------------------------
-// Torture: the switchover protocol per family, and the saga at fsync
-// boundaries.
+// Torture: the switchover protocol per family, fsync boundaries inside a
+// switchover's drain window, and the saga at fsync boundaries.
 // ---------------------------------------------------------------------------
 
-/// Bootstrap under the conservative tables, install the inferred ones at up
+/// Bootstrap under the conservative tables, install the inferred ones at
 /// about 4 step boundaries, then crash at about `max_points` append indices
-/// and at every fsync boundary of a drain-window run.
-fn switchover(max_points: usize) -> CutSource {
+/// (and, given `max_batch`, at every fsync boundary of a drain-window run).
+fn switchover(max_points: usize, max_batch: Option<usize>) -> CutSource {
     CutSource::Switchover {
         max_boundaries: 4,
         max_points,
-        max_batch: 128,
+        max_batch,
     }
 }
 
@@ -136,13 +137,29 @@ fn assert_switched_cleanly(report: &acc_workloads::TortureReport) {
     assert_eq!(report.counters.recovered_compensated, report.compensated);
 }
 
+/// Crash points cut at an append index (the drain-window fsync points, if
+/// any, are logged as `fsync j=…`).
+fn append_cuts(report: &acc_workloads::TortureReport) -> usize {
+    report
+        .log
+        .lines()
+        .filter(|l| l.starts_with("crash k="))
+        .count()
+}
+
+/// The sweep's `total:` line; every sweep is a pure function of its config,
+/// so EXPERIMENTS.md publishes these lines and the tests pin them exactly.
+fn total(report: &acc_workloads::TortureReport) -> &str {
+    report.log.lines().last().expect("a total line")
+}
+
 #[test]
 fn smallbank_survives_the_torture_protocol() {
     let kit = smallbank::SmallbankKit::build(8);
     let cfg = TortureConfig {
         seed: 0xB4A2,
-        txns: 60,
-        source: switchover(40),
+        txns: 120,
+        source: switchover(80, None),
     };
     let report = run_torture(&kit, &cfg).expect("torture protocol");
     assert_eq!(
@@ -152,14 +169,19 @@ fn smallbank_survives_the_torture_protocol() {
     );
     assert_switched_cleanly(&report);
     assert!(
-        report.points >= 40,
-        "only {} crash points swept",
-        report.points
+        append_cuts(&report) >= 40,
+        "only {} append crash points swept",
+        append_cuts(&report)
     );
     assert!(
         report.compensated > 0,
         "sweep never resumed a compensation — mix too shallow?\n{}",
         report.log
+    );
+    assert_eq!(
+        total(&report),
+        "total: boundaries=35 switches=5 immediate=1 crash_points=73 replayed=4419 \
+         compensated=9 discarded=46 rejected=0 violations=0 mixed_epoch=0"
     );
     // Determinism of the sweep itself: the outcome log is a pure function
     // of the config.
@@ -172,8 +194,8 @@ fn saga_survives_the_torture_protocol_with_deep_chains() {
     let kit = saga::SagaKit::build(6, 4);
     let cfg = TortureConfig {
         seed: 0x5A6A,
-        txns: 60,
-        source: switchover(40),
+        txns: 110,
+        source: switchover(90, None),
     };
     let report = run_torture(&kit, &cfg).expect("torture protocol");
     assert_eq!(
@@ -183,9 +205,9 @@ fn saga_survives_the_torture_protocol_with_deep_chains() {
     );
     assert_switched_cleanly(&report);
     assert!(
-        report.points >= 40,
-        "only {} crash points swept",
-        report.points
+        append_cuts(&report) >= 40,
+        "only {} append crash points swept",
+        append_cuts(&report)
     );
     // The whole reason this family exists: crash points late in a four-leg
     // saga leave compensation chains far past TPC-C's two-to-three steps.
@@ -195,8 +217,65 @@ fn saga_survives_the_torture_protocol_with_deep_chains() {
         report.max_comp_depth,
         report.log
     );
+    assert_eq!(
+        total(&report),
+        "total: boundaries=279 switches=5 immediate=1 crash_points=87 replayed=4711 \
+         compensated=59 discarded=19 rejected=0 violations=0 mixed_epoch=0"
+    );
+    assert_eq!(report.max_comp_depth, 6);
     let again = run_torture(&kit, &cfg).expect("torture re-run");
     assert_eq!(report.log, again.log, "torture log not deterministic");
+}
+
+/// Both families crashed at every fsync boundary of a run whose install
+/// lands inside a group-commit window; a small batch threshold retires
+/// batches mid-step, so some boundaries leave steps to compensate.
+#[test]
+fn fsync_boundaries_inside_a_switchover_drain() {
+    let kits: [(Box<dyn WorkloadKit>, u64, &str); 2] = [
+        (
+            Box::new(smallbank::SmallbankKit::build(8)),
+            0xB4A2,
+            "total: boundaries=3 switches=3 immediate=1 crash_points=26 replayed=161 \
+             compensated=4 discarded=7 rejected=0 violations=0 mixed_epoch=0",
+        ),
+        (
+            Box::new(saga::SagaKit::build(6, 4)),
+            0x5A6A,
+            "total: boundaries=20 switches=5 immediate=1 crash_points=41 replayed=219 \
+             compensated=25 discarded=2 rejected=0 violations=0 mixed_epoch=0",
+        ),
+    ];
+    for (kit, seed, want) in kits {
+        let cfg = TortureConfig {
+            seed,
+            txns: 12,
+            source: switchover(8, Some(4)),
+        };
+        let report = run_torture(&*kit, &cfg).expect("switchover drain torture");
+        assert_eq!(
+            report.violations,
+            0,
+            "{}: consistency violations:\n{}",
+            kit.name(),
+            report.log
+        );
+        assert_switched_cleanly(&report);
+        let drain_points = report
+            .log
+            .lines()
+            .filter(|l| l.starts_with("fsync j="))
+            .count();
+        assert!(
+            drain_points > 0,
+            "{}: no drain-window fsync boundary\n{}",
+            kit.name(),
+            report.log
+        );
+        assert_eq!(total(&report), want, "{}", kit.name());
+        let again = run_torture(&*kit, &cfg).expect("torture re-run");
+        assert_eq!(report.log, again.log, "torture log not deterministic");
+    }
 }
 
 #[test]
@@ -226,6 +305,11 @@ fn saga_survives_fsync_boundary_crashes() {
         report.log
     );
     assert_eq!(report.counters.recoveries, report.crash_points as u64);
+    assert_eq!(
+        total(&report),
+        "total: boundaries=17 points=43 replayed=130 compensated=23 discarded=2 rejected=468 \
+         violations=0"
+    );
 }
 
 // ---------------------------------------------------------------------------
